@@ -30,11 +30,8 @@ from .metrics import ErrorReport, highly_mixed, home_base, l1_error_rate, misclu
 from .model import (
     EdgeDistribution,
     InvariantError,
-    ModelConfig,
-    ModelDiagnostics,
     SupportError,
     build_omega,
-    compute_diagnostics,
     make_synthetic_membership,
     make_theta,
     sample_adjacency,
@@ -51,8 +48,7 @@ __all__ = [
     "ExperimentConfig", "SweepResult", "experiment_config", "run_setup",
     "run_setup_replicates", "run_sweep", "scaling_check",
     "ErrorReport", "highly_mixed", "home_base", "l1_error_rate", "miscluster_count",
-    "EdgeDistribution", "InvariantError", "ModelConfig", "ModelDiagnostics",
-    "SupportError", "build_omega", "compute_diagnostics",
+    "EdgeDistribution", "InvariantError", "SupportError", "build_omega",
     "make_synthetic_membership", "make_theta", "sample_adjacency",
     "fit_network", "load_edge_list", "save_edge_list", "scree_report",
     "NormalizedRows", "SpectralPair", "row_normalize", "top_k_eigs",

@@ -181,17 +181,15 @@ def _greedy_corners(rows, usable, K):
     return np.array(sorted(usable[spa_corners(rows[usable], K).indices]), dtype=int)
 
 
-def svm_cone_corners(normalized, K, seed, representative="center",
-                     floor_frac=FLOOR_FRAC, restarts=10):
+def svm_cone_corners(normalized, K, seed):
     """Pick K corner rows of a row-normalized eigenvector matrix.
 
     Rows are ranked by one-class margin; the candidate set starts at the
     minimal-margin band and widens (geometrically, capped) until it holds
     K separable clusters and a minimum fraction of the rows, which keeps
     the k-means step from electing near-duplicate corners on noisy inputs.
-    Flagged degenerate rows never become candidates. ``representative``
-    selects each cluster's closest-to-center member ("center", default) or
-    its minimal-margin member ("margin").
+    Flagged degenerate rows never become candidates. Each cluster is
+    represented by its member closest to the cluster center.
 
     When the minimum margin is not positive, no hyperplane through the
     origin separates the rows, so the margin ranking says nothing about
@@ -223,7 +221,7 @@ def svm_cone_corners(normalized, K, seed, representative="center",
                          margins=margins, candidates=usable,
                          cluster_assignments=np.zeros(usable.size, dtype=int))
 
-    floor = min(usable.size, max(2 * K, int(np.ceil(floor_frac * usable.size))))
+    floor = min(usable.size, max(2 * K, int(np.ceil(FLOOR_FRAC * usable.size))))
     order = usable[np.argsort(margins_u, kind="stable")]
     delta = 1e-6
     cand = usable[margins_u <= (1.0 + delta) * mmin]
@@ -235,15 +233,12 @@ def svm_cone_corners(normalized, K, seed, representative="center",
 
     best = None  # (condition number, corners, cand, labels)
     while True:
-        labels, centers = spherical_kmeans(X[cand], K, seed, restarts=restarts)
+        labels, centers = spherical_kmeans(X[cand], K, seed)
         if len(set(labels.tolist())) == K:
             corners = []
             for k in range(K):
                 members = cand[labels == k]
-                if representative == "margin":
-                    score = -margins[members]
-                else:
-                    score = X[members] @ centers[k]
+                score = X[members] @ centers[k]
                 near_best = members[score >= score.max() - 1e-12]
                 corners.append(int(near_best.min()))
             corners = np.array(sorted(set(corners)), dtype=int)

@@ -103,7 +103,7 @@ def ideal_scd(omega, K, seed=0):
                             degenerate_rows=degenerate, method="ideal_scd")
 
 
-def scd(A, K, seed=0, representative="center"):
+def scd(A, K, seed=0):
     """Empirical membership estimate from a symmetric adjacency matrix.
 
     Negative entries of the reconstruction are clamped to zero before the
@@ -115,8 +115,7 @@ def scd(A, K, seed=0, representative="center"):
         raise ValueError("K must be >= 1")
     pair = _spectral.top_k_eigs(A, K)
     normalized = _spectral.row_normalize(pair.U)
-    corner_set = _corners.svm_cone_corners(normalized, K, seed,
-                                           representative=representative)
+    corner_set = _corners.svm_cone_corners(normalized, K, seed)
     Z, clamped = _reconstruct(pair.U, pair.eigenvalues, normalized.matrix,
                               corner_set.indices, clamp=True)
     Z = np.maximum(Z, 0.0)

@@ -146,8 +146,9 @@ def run_sweep(cfg, progress=None):
     """Run every (grid point, replicate, method) cell of a sweep.
 
     Each replicate draws a fresh theta and adjacency. Grid points whose
-    worst-case expectation range violates the distribution support are
-    skipped with a recorded reason instead of clamped.
+    worst-case expectation range violates the distribution support, or
+    where a method fails on every replicate, are skipped with a recorded
+    reason instead of clamped; ``progress`` is called for valid points only.
     """
     Pi = cfg.membership()
     P = cfg.block_matrix()
@@ -195,7 +196,7 @@ def run_sweep(cfg, progress=None):
                 "mean": float(errs.mean()),
                 "std": float(errs.std()),
             }
-        if progress:
+        if progress and rho not in invalid:
             progress(rho, {m: table[(m, rho)]["mean"] for m in cfg.methods})
     return SweepResult(config=cfg, grid=list(cfg.rho_grid), table=table, invalid=invalid)
 

@@ -13,8 +13,7 @@ drawn in fixed upper-triangle row-major order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,16 +166,6 @@ class EdgeDistribution:
             return rng.poisson(means).astype(float)
         return 2.0 * rng.binomial(1, (1.0 + means) / 2.0) - 1.0
 
-    def variance_bound(self, theta, P):
-        """Analytic bound on max Var(A(i,j)) / (theta_i theta_j) for this family."""
-        theta = check_theta(theta)
-        tmin = theta.min()
-        if self.kind == "normal":
-            return self.variance / tmin**2
-        if self.kind in ("bernoulli", "poisson"):
-            return float(np.max(np.abs(P)))
-        return 1.0 / tmin**2
-
     def to_config(self):
         cfg = {"kind": self.kind}
         if self.variance is not None:
@@ -252,83 +241,3 @@ def make_theta(n, rho, rule="uniform_half", seed=0):
         i = np.arange(1, n + 1, dtype=float)
         return 0.9 * rho + 0.1 * i * rho / n
     raise ValueError(f"unknown theta rule {rule!r}")
-
-
-@dataclass(frozen=True)
-class ModelDiagnostics:
-    """Worst observed deviation from the mean and the per-family variance bound."""
-
-    tau: float
-    gamma_bound: float
-
-
-def compute_diagnostics(A, omega, theta, dist):
-    """tau = max |A - omega| off the diagonal; gamma_bound per the family formulas."""
-    A = np.asarray(A, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if A.shape != omega.shape:
-        raise ValueError("A and omega shapes differ")
-    off = ~np.eye(A.shape[0], dtype=bool)
-    tau = float(np.max(np.abs(A - omega)[off])) if A.shape[0] > 1 else 0.0
-    # P_max recovered from omega/theta scale: gamma formulas need P, so take
-    # the exact bound via the heterogeneity-normalized means.
-    if dist.kind in ("bernoulli", "poisson"):
-        theta = check_theta(theta)
-        normalized = np.abs(omega) / np.outer(theta, theta)
-        gamma = float(np.max(normalized[off])) if A.shape[0] > 1 else 0.0
-    else:
-        gamma = dist.variance_bound(theta, P=None)
-    return ModelDiagnostics(tau=tau, gamma_bound=gamma)
-
-
-@dataclass
-class ModelConfig:
-    """Serializable description of a full parameter set."""
-
-    n: int
-    K: int
-    n0: int
-    mixed_profiles: list = field(default_factory=list)
-    p_offdiag: float | None = None
-    P: list | None = None
-    theta_rule: str = "uniform_half"
-    rho: float = 1.0
-    distribution: dict = field(default_factory=lambda: {"kind": "bernoulli"})
-    seed: int = 0
-
-    def block_matrix(self):
-        if self.P is not None:
-            return check_block_matrix(np.asarray(self.P, dtype=float))
-        P = np.full((self.K, self.K), self.p_offdiag, dtype=float)
-        np.fill_diagonal(P, 1.0)
-        return check_block_matrix(P)
-
-    def membership(self):
-        profiles = [(np.asarray(p, dtype=float), int(c)) for p, c in self.mixed_profiles]
-        return make_synthetic_membership(self.n, self.K, self.n0, profiles)
-
-    def edge_distribution(self):
-        return EdgeDistribution.from_config(self.distribution)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "n": self.n,
-                "K": self.K,
-                "n0": self.n0,
-                "mixed_profiles": [[list(map(float, p)), int(c)] for p, c in self.mixed_profiles],
-                "p_offdiag": self.p_offdiag,
-                "P": self.P,
-                "theta_rule": self.theta_rule,
-                "rho": self.rho,
-                "distribution": self.distribution,
-                "seed": self.seed,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        raw["mixed_profiles"] = [(tuple(p), int(c)) for p, c in raw.get("mixed_profiles", [])]
-        return cls(**raw)

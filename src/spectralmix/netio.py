@@ -2,24 +2,28 @@
 
 Three small readers cover the formats the usual public datasets ship in:
 whitespace edge triplets, a minimal GML subset, and a minimal Pajek
-subset. Loading always produces a dense symmetric matrix with zero
-diagonal plus the node-id map; ground-truth labels ride along when the
-file (or a sidecar) carries them.
+subset. Each returns the same shape, ``(edges, nodes)``: edges are
+``(u, v, weight)`` triples and nodes are the declared ``(id, label,
+value-or-None)`` triples, empty for the whitespace format. The loader
+then names the nodes, checks the weights, and produces a dense symmetric
+matrix with zero diagonal plus the node-id map; ground-truth labels ride
+along when the file's node values (or a sidecar) carry them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import estimators as _estimators
 from . import metrics as _metrics
 from . import spectral as _spectral
-
-FORMATS = ("whitespace_triplets", "gml_like", "pajek_like")
 
 
 class ParseError(ValueError):
@@ -55,7 +59,7 @@ def _edges_whitespace(path):
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad weight {parts[2]!r}")
             edges.append((u, v, w))
-    return edges, {}, False
+    return edges, []
 
 
 _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
@@ -65,8 +69,7 @@ def _edges_gml(path):
     text = open(path).read()
     tokens = _GML_TOKEN.findall(text)
     edges = []
-    nodes = []  # (id, label, value-or-None)
-    directed = False
+    nodes = []
     i = 0
 
     def parse_block(start):
@@ -89,8 +92,6 @@ def _edges_gml(path):
 
     while i < len(tokens):
         tok = tokens[i]
-        if tok == "directed" and i + 1 < len(tokens):
-            directed = tokens[i + 1] == "1"
         if tok in ("node", "edge") and i + 1 < len(tokens) and tokens[i + 1] == "[":
             fields, i = parse_block(i + 1)
             if tok == "node":
@@ -105,21 +106,12 @@ def _edges_gml(path):
                 edges.append((fields["source"], fields["target"], w))
         i += 1
 
-    # prefer declared labels as node identities, but only when unique:
-    # some public files carry duplicate labels under distinct ids
-    label_list = [label for _, label, _ in nodes]
-    use_labels = len(set(label_list)) == len(label_list)
-    id_to_name = {nid: (label if use_labels else nid) for nid, label, _ in nodes}
-    edges = [(id_to_name.get(u, u), id_to_name.get(v, v), w) for u, v, w in edges]
-    labels = {id_to_name[nid]: value for nid, _, value in nodes if value is not None}
-    declared = [id_to_name[nid] for nid, _, _ in nodes]
-    return edges, labels, directed, declared
+    return edges, nodes
 
 
 def _edges_pajek(path):
     edges = []
-    declared = []
-    directed = False
+    nodes = []
     mode = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -130,19 +122,13 @@ def _edges_pajek(path):
             if low.startswith("*vertices"):
                 mode = "vertices"
                 continue
-            if low.startswith("*edges"):
+            if low.startswith(("*edges", "*arcs")):
                 mode = "edges"
-                continue
-            if low.startswith("*arcs"):
-                mode = "edges"
-                directed = True
                 continue
             if mode == "vertices":
                 m = re.match(r'(\d+)\s+"([^"]*)"', line) or re.match(r"(\d+)\s+(\S+)", line)
-                if m:
-                    declared.append((m.group(1), m.group(2)))
-                else:
-                    declared.append((line.split()[0], line.split()[0]))
+                nid, label = m.groups() if m else (line.split()[0],) * 2
+                nodes.append((nid, label, None))
             elif mode == "edges":
                 parts = line.split()
                 if len(parts) < 2:
@@ -151,33 +137,12 @@ def _edges_pajek(path):
                 edges.append((parts[0], parts[1], w))
             else:
                 raise ParseError(f"{path}:{lineno}: content before any *Vertices/*Edges section")
-    label_list = [label for _, label in declared]
-    use_labels = len(set(label_list)) == len(label_list)
-    id_to_name = {nid: (label if use_labels else nid) for nid, label in declared}
-    edges = [(id_to_name.get(u, u), id_to_name.get(v, v), w) for u, v, w in edges]
-    return edges, {}, directed, [id_to_name[nid] for nid, _ in declared]
+    return edges, nodes
 
 
-def _largest_component(A):
-    n = A.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    best = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in np.nonzero(A[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        if len(comp) > len(best):
-            best = comp
-    return np.array(sorted(best), dtype=int)
+_PARSERS = {"whitespace_triplets": _edges_whitespace, "gml_like": _edges_gml,
+            "pajek_like": _edges_pajek}
+FORMATS = tuple(_PARSERS)
 
 
 def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
@@ -187,20 +152,26 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     ``symmetrize="strict"`` merges reciprocal duplicates only when their
     weights agree (conflicts are errors); ``"or"`` treats the file as a
     directed unweighted graph and keeps an edge wherever either direction
-    appears. Self loops are dropped and counted. ``largest_component``
-    restricts to the biggest connected component (id map follows).
+    appears. Self loops are dropped and counted, and a non-finite weight
+    is a ``ParseError``. ``largest_component`` restricts to the biggest
+    connected component (id map follows).
     """
-    if format == "whitespace_triplets":
-        edges, labels_map, directed = _edges_whitespace(path)
-        declared = None
-    elif format == "gml_like":
-        edges, labels_map, directed, declared = _edges_gml(path)
-    elif format == "pajek_like":
-        edges, labels_map, directed, declared = _edges_pajek(path)
-    else:
+    if format not in _PARSERS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    edges, nodes = _PARSERS[format](path)
 
-    ids = list(declared) if declared else []
+    # prefer declared labels as node identities, but only when unique:
+    # some public files carry duplicate labels under distinct ids
+    label_list = [label for _, label, _ in nodes]
+    use_labels = len(set(label_list)) == len(label_list)
+    name = {nid: (label if use_labels else nid) for nid, label, _ in nodes}
+    edges = [(name.get(u, u), name.get(v, v), w) for u, v, w in edges]
+    values = {name[nid]: value for nid, _, value in nodes if value is not None}
+    for u, v, w in edges:
+        if not math.isfinite(w):
+            raise ParseError(f"{path}: non-finite weight {w} on edge {u!r}-{v!r}")
+
+    ids = [name[nid] for nid, _, _ in nodes]
     seen = set(ids)
     for u, v, _ in edges:
         for x in (u, v):
@@ -238,18 +209,17 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
         A[i, j] = A[j, i] = w
 
     labels = None
-    if labels_map:
-        try:
-            raw = [labels_map.get(x) for x in ids]
-            if all(r is not None for r in raw):
-                uniq = sorted(set(raw), key=lambda s: (len(str(s)), str(s)))
-                labels = np.array([uniq.index(r) + 1 for r in raw], dtype=int)
-        except Exception:
-            labels = None
+    raw = [values.get(x) for x in ids]
+    if values and all(r is not None for r in raw):
+        uniq = sorted(set(raw), key=lambda s: (len(s), s))
+        labels = np.array([uniq.index(r) + 1 for r in raw], dtype=int)
 
     removed = 0
     if largest_component:
-        keep = _largest_component(A)
+        # ties keep the component with the lowest node index: csgraph
+        # labels components in order of their first node
+        _, comp = connected_components(csr_matrix(A), directed=False)
+        keep = np.flatnonzero(comp == np.argmax(np.bincount(comp)))
         removed = n - keep.size
         A = A[np.ix_(keep, keep)]
         ids = [ids[i] for i in keep]

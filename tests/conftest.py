@@ -1,30 +1,23 @@
+import importlib.util
 import os
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 import pytest
 
-# Post-split club rosters for the karate network, 1-based member ids.
-# Member 9 joined the officers' club, giving the 16/18 split.
-KARATE_MR_HI = {1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 17, 18, 20, 22}
+_SPEC = importlib.util.spec_from_file_location(
+    "make_datasets", Path(__file__).resolve().parent.parent / "scripts" / "make_datasets.py")
+make_datasets = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(make_datasets)
 
 
 @pytest.fixture(scope="session")
 def data_dir(tmp_path_factory):
-    """Edge files for the bundled real networks, written once per session."""
+    """Edge files for the bundled real networks, written once per session
+    by the same writers as ``scripts/make_datasets.py``."""
     out = tmp_path_factory.mktemp("networks")
-    G = nx.karate_club_graph()
-    with open(out / "karate.tsv", "w") as fh:
-        for u, v, data in G.edges(data=True):
-            fh.write(f"{u + 1} {v + 1} {data.get('weight', 1)}\n")
-    with open(out / "karate_labels.tsv", "w") as fh:
-        for u in sorted(G.nodes):
-            fh.write(f"{u + 1} {1 if (u + 1) in KARATE_MR_HI else 2}\n")
-    L = nx.les_miserables_graph()
-    with open(out / "lesmis.tsv", "w") as fh:
-        for u, v, data in L.edges(data=True):
-            fh.write(f"{u} {v} {data.get('weight', 1)}\n")
+    make_datasets.write_karate(out)
+    make_datasets.write_lesmis(out)
     return out
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from spectralmix import harness
+from spectralmix import estimators, harness
 from spectralmix.harness import (
     ExperimentConfig,
     experiment_config,
@@ -69,6 +69,17 @@ class TestRunSweep:
         assert 1.2 in sweep.invalid
         assert "bernoulli" in sweep.invalid[1.2]
         assert 0.5 in sweep.valid_grid()
+
+    def test_method_failing_everywhere_skips_progress(self, monkeypatch):
+        def always_fails(A, K, seed=0):
+            raise estimators.EstimationError("corner block is singular")
+
+        monkeypatch.setitem(estimators.ESTIMATORS, "dfsp", always_fails)
+        calls = []
+        sweep = run_sweep(tiny_config(), progress=lambda rho, means: calls.append(rho))
+        assert calls == []
+        assert sweep.valid_grid() == []
+        assert all("dfsp failed on all 2 replicates" in r for r in sweep.invalid.values())
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):

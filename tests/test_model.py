@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from spectralmix import model
 from spectralmix.model import (
     EdgeDistribution,
     InvariantError,
-    ModelConfig,
     SupportError,
     build_omega,
-    compute_diagnostics,
     make_synthetic_membership,
     make_theta,
     sample_adjacency,
@@ -198,29 +195,6 @@ class TestMakeTheta:
             make_theta(5, -1.0, "linear_ramp")
 
 
-class TestDiagnostics:
-    def test_zero_noise(self):
-        P, Pi, theta = pure_two_block()
-        omega = build_omega(P, Pi, theta)
-        diag = compute_diagnostics(omega, omega, theta, EdgeDistribution("normal", 1.0))
-        assert diag.tau == 0.0
-
-    def test_bernoulli_gamma_is_block_max(self):
-        Pi = np.array([[1.0, 0], [0, 1.0], [1.0, 0]])
-        P = np.array([[1.0, 0.3], [0.3, 1.0]])
-        theta = np.array([0.5, 0.8, 0.9])
-        omega = build_omega(P, Pi, theta)
-        A = sample_adjacency(omega, EdgeDistribution("bernoulli"), seed=0)
-        diag = compute_diagnostics(A, omega, theta, EdgeDistribution("bernoulli"))
-        assert diag.gamma_bound == pytest.approx(1.0, abs=1e-12)
-
-    def test_signed_gamma_bound(self):
-        theta = np.array([0.5, 0.6, 0.9])
-        omega = np.zeros((3, 3))
-        diag = compute_diagnostics(omega, omega, theta, EdgeDistribution("signed"))
-        assert diag.gamma_bound == pytest.approx(4.0, abs=1e-12)  # 1 / 0.5^2
-
-
 class TestEdgeDistribution:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -236,13 +210,3 @@ class TestEdgeDistribution:
         d = EdgeDistribution("normal", variance=2.0)
         assert EdgeDistribution.from_config(d.to_config()) == d
 
-
-def test_model_config_round_trip():
-    cfg = ModelConfig(n=30, K=2, n0=10, mixed_profiles=[((0.7, 0.3), 10)],
-                      p_offdiag=0.2, theta_rule="linear_ramp", rho=1.0,
-                      distribution={"kind": "bernoulli"}, seed=5)
-    back = ModelConfig.from_json(cfg.to_json())
-    assert back.n == 30 and back.K == 2 and back.n0 == 10
-    assert back.block_matrix()[0, 1] == 0.2
-    assert back.membership().shape == (30, 2)
-    assert back.edge_distribution().kind == "bernoulli"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectralmix.netio import (
+    FORMATS,
     ParseError,
     fit_network,
     load_edge_list,
@@ -137,6 +138,68 @@ class TestPajek:
         path.write_text("*Vertices 2\n1 \"a\"\n2 \"b\"\n*Arcs\n1 2 1\n2 1 1\n")
         net = load_edge_list(path, format="pajek_like", symmetrize="or")
         assert net.adjacency[0, 1] == 1.0
+
+
+class TestNonFiniteWeights:
+    FILES = {
+        "whitespace_triplets": "a b 1\nb c {w}\n",
+        "gml_like": ('graph [ node [ id 1 label "a" ] node [ id 2 label "b" ] '
+                     'node [ id 3 label "c" ] edge [ source 1 target 2 ] '
+                     'edge [ source 2 target 3 value {w} ] ]'),
+        "pajek_like": '*Vertices 3\n1 "a"\n2 "b"\n3 "c"\n*Edges\n1 2 1\n2 3 {w}\n',
+    }
+
+    @pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_rejected_naming_file_and_edge(self, tmp_path, fmt, weight):
+        path = tmp_path / "bad.txt"
+        path.write_text(self.FILES[fmt].format(w=weight))
+        with pytest.raises(ParseError, match=r"bad\.txt: non-finite weight .* 'b'-'c'"):
+            load_edge_list(path, format=fmt)
+
+
+def largest_component_reference(A):
+    """Depth-first search over dense rows; ties keep the earliest component."""
+    seen = np.zeros(len(A), dtype=bool)
+    best = []
+    for start in range(len(A)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, comp = [start], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in np.nonzero(A[u])[0]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        if len(comp) > len(best):
+            best = comp
+    return sorted(best)
+
+
+class TestLargestComponent:
+    def test_matches_reference_search(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "random.tsv"
+        for _ in range(50):
+            n = int(rng.integers(4, 25))
+            iu, ju = np.nonzero(np.triu(rng.random((n, n)) < 0.1, 1))
+            lines = [f"{i} {j} {w:.3f}" for i, j, w in zip(iu, ju, rng.normal(size=iu.size))]
+            if not lines:
+                continue
+            path.write_text("\n".join(lines) + "\n")
+            full = load_edge_list(path)
+            net = load_edge_list(path, largest_component=True)
+            keep = largest_component_reference(full.adjacency)
+            assert net.ids == [full.ids[i] for i in keep]
+
+    def test_tie_keeps_lowest_index(self, tmp_path):
+        path = tmp_path / "tie.tsv"
+        path.write_text("c d 1\na b 1\n")
+        net = load_edge_list(path, largest_component=True)
+        assert net.ids == ["c", "d"]
 
 
 class TestRoundTrip:

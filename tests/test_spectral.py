@@ -80,6 +80,15 @@ class TestTopKEigs:
         assert np.allclose(dense.eigenvalues, iterative.eigenvalues, rtol=1e-8)
         assert np.allclose(np.abs(dense.U), np.abs(iterative.U), atol=1e-6)
 
+    def test_iterative_path_repeatable(self):
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(300, 300))
+        M = M + M.T
+        p1 = top_k_eigs(M, 3, dense_limit=50)
+        p2 = top_k_eigs(M, 3, dense_limit=50)
+        assert np.array_equal(p1.U, p2.U)
+        assert np.array_equal(p1.eigenvalues, p2.eigenvalues)
+
     def test_asymmetric_rejected(self):
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
@@ -133,6 +142,12 @@ class TestTopSingularValues:
         dense = top_singular_values(M, 6)
         iterative = top_singular_values(M, 6, dense_limit=20)
         assert np.allclose(dense, iterative, rtol=1e-6)
+
+    def test_iterative_repeatable(self):
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(300, 300))
+        assert np.array_equal(top_singular_values(M, 6, dense_limit=50),
+                              top_singular_values(M, 6, dense_limit=50))
 
     def test_nonincreasing(self):
         rng = np.random.default_rng(6)
