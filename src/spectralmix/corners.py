@@ -5,12 +5,13 @@ every row is a nonnegative combination of K corner rows, and the corners
 are the rows of pure nodes. Two selection routes live here:
 
 * ``svm_cone_corners`` ranks rows by their one-class max-margin value
-  (corners have minimal margin), clusters the near-margin rows into K
-  groups on the sphere, and returns one representative per group. When
-  the margin problem finds no separating hyperplane (the empirical hull is
-  not pointed, as with negative off-diagonal blocks under heavy noise),
-  the margins carry no corner information; it then takes the
-  successive-projection pick on the degree-weighted rows instead.
+  (corners have minimal margin) and clusters the minimal-margin band, or
+  the lowest-margin rows when the band stays small, into K groups on the
+  sphere; a band that collapses is clustered again over every usable row,
+  and is an error if that collapses too. A non-pointed empirical hull
+  (negative off-diagonal blocks under heavy noise) carries no corner
+  information in its margins, so it takes the successive-projection pick
+  on the degree-weighted rows instead.
 * ``spa_corners`` is the classical successive-projection pick used by the
   separable-factorization baseline: repeatedly take the max-norm row and
   project the rest onto its orthocomplement.
@@ -27,7 +28,6 @@ from .spectral import NormalizedRows
 QP_TOL = 1e-8
 DELTA_CAP = 0.5
 FLOOR_FRAC = 0.25
-WELL_CONDITIONED = 1e8
 
 
 class CornerFindingError(RuntimeError):
@@ -55,17 +55,18 @@ class CornerSet:
     cluster_assignments: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
 
-def _dual_ascent(Y, box=None, tol=QP_TOL, max_iter=100_000):
-    """FISTA on the dual max 1'a - 0.5 ||Y'a||^2 over 0 <= a (<= box).
+def _dual_ascent(Y, box, tol=QP_TOL, max_iter=100_000):
+    """FISTA on the dual max 1'a - 0.5 ||Y'a||^2 over 0 <= a <= box.
 
     Returns (alpha, w, margins, gap). gap is the certified duality gap when
-    the primal iterate is feasible (min margin > 0), else inf.
+    the primal iterate is feasible (min margin > 0), else inf; the loop
+    stops early only on that certificate, so infeasible input runs to
+    ``max_iter``.
     """
     Y = np.asarray(Y, dtype=float)
     n, K = Y.shape
     G = Y.T @ Y
     L = max(float(np.linalg.eigvalsh(G)[-1]), 1e-12)
-    hi = np.inf if box is None else box
     a = np.zeros(n)
     z = a.copy()
     t = 1.0
@@ -73,7 +74,7 @@ def _dual_ascent(Y, box=None, tol=QP_TOL, max_iter=100_000):
     for it in range(max_iter):
         w = Y.T @ z
         grad = 1.0 - Y @ w
-        a_new = np.clip(z + grad / L, 0.0, hi)
+        a_new = np.clip(z + grad / L, 0.0, box)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         z = a_new + ((t - 1.0) / t_new) * (a_new - a)
         a, t = a_new, t_new
@@ -81,17 +82,11 @@ def _dual_ascent(Y, box=None, tol=QP_TOL, max_iter=100_000):
             w = Y.T @ a
             margins = Y @ w
             mmin = margins.min()
-            dual = a.sum() - 0.5 * np.dot(w, w)
             if mmin > 1e-12:
                 wf = w / mmin
+                dual = a.sum() - 0.5 * np.dot(w, w)
                 gap = 0.5 * np.dot(wf, wf) - dual
                 if gap <= tol:
-                    break
-            else:
-                grad = 1.0 - margins
-                kkt = np.where(a <= 0, np.minimum(grad, 0.0),
-                               np.where(a >= hi, np.maximum(grad, 0.0), grad))
-                if np.max(np.abs(kkt)) <= 1e-10 * max(1.0, abs(dual)):
                     break
     w = Y.T @ a
     return a, w, Y @ w, gap
@@ -176,29 +171,25 @@ def _as_normalized(rows):
     return X, np.linalg.norm(X, axis=1), []
 
 
-def _greedy_corners(rows, usable, K):
-    """Successive-projection corners among the usable rows, sorted."""
-    return np.array(sorted(usable[spa_corners(rows[usable], K).indices]), dtype=int)
-
-
 def svm_cone_corners(normalized, K, seed):
     """Pick K corner rows of a row-normalized eigenvector matrix.
 
-    Rows are ranked by one-class margin; the candidate set starts at the
-    minimal-margin band and widens (geometrically, capped) until it holds
-    K separable clusters and a minimum fraction of the rows, which keeps
-    the k-means step from electing near-duplicate corners on noisy inputs.
-    Flagged degenerate rows never become candidates. Each cluster is
-    represented by its member closest to the cluster center.
+    On a pointed hull the candidates are the minimal-margin band, widened
+    geometrically up to ``DELTA_CAP`` until it holds ``max(2K, FLOOR_FRAC
+    * rows)`` rows, else that many lowest-margin rows. One spherical
+    k-means pass splits them into K clusters, each represented by its
+    member closest to the center (lowest index among ties). A band that
+    collapses into fewer than K clusters gets one more pass over every
+    usable row (sparse draws where most rows are degenerate need it), then
+    ``CornerFindingError``. The corner block's condition is checked only
+    by the estimator that inverts it. Degenerate rows are never candidates.
 
     When the minimum margin is not positive, no hyperplane through the
-    origin separates the rows, so the margin ranking says nothing about
-    which rows are pure. The corners are then the successive-projection
-    pick on the degree-weighted rows (each unit row times its
-    pre-normalization norm): the largest of those rows belong to
-    high-degree nodes, whose normalized rows carry the least noise. That
-    route, like the ill-conditioned fallback, reports every usable row as
-    a candidate under a single cluster label.
+    origin separates the rows, so the margins say nothing about which rows
+    are pure: the corners are the successive-projection pick on the
+    degree-weighted rows (unit rows times their pre-normalization norms),
+    whose largest rows belong to the high-degree, least noisy nodes. That
+    route reports every usable row as a candidate under one cluster label.
     """
     X, row_norms, degenerate = _as_normalized(normalized)
     n = X.shape[0]
@@ -217,7 +208,8 @@ def svm_cone_corners(normalized, K, seed):
     margins[usable] = margins_u
     if mmin <= 0:
         # non-pointed empirical hull: greedy pick on the degree-weighted rows
-        return CornerSet(indices=_greedy_corners(X * row_norms[:, None], usable, K),
+        weighted = X[usable] * row_norms[usable, None]
+        return CornerSet(indices=np.sort(usable[spa_corners(weighted, K).indices]),
                          margins=margins, candidates=usable,
                          cluster_assignments=np.zeros(usable.size, dtype=int))
 
@@ -231,43 +223,19 @@ def svm_cone_corners(normalized, K, seed):
     if cand.size < floor:
         cand = order[:floor]
 
-    best = None  # (condition number, corners, cand, labels)
-    while True:
+    labels, centers = spherical_kmeans(X[cand], K, seed)
+    if np.unique(labels).size < K and cand.size < usable.size:
+        cand = order
         labels, centers = spherical_kmeans(X[cand], K, seed)
-        if len(set(labels.tolist())) == K:
-            corners = []
-            for k in range(K):
-                members = cand[labels == k]
-                score = X[members] @ centers[k]
-                near_best = members[score >= score.max() - 1e-12]
-                corners.append(int(near_best.min()))
-            corners = np.array(sorted(set(corners)), dtype=int)
-            if corners.size == K:
-                cond = np.linalg.cond(X[corners])
-                if best is None or cond < best[0]:
-                    best = (cond, corners, cand, labels)
-                if cond <= WELL_CONDITIONED:
-                    break
-        if cand.size >= usable.size:
-            break
-        cand = order[:min(usable.size, 2 * cand.size)]
-
-    if best is None or best[0] > WELL_CONDITIONED:
-        # degenerate geometry (for instance a near-disconnected sparse draw):
-        # fall back to the max-volume greedy pick over all usable rows, which
-        # yields the best-conditioned corner block this matrix supports
-        try:
-            greedy = _greedy_corners(X, usable, K)
-            cond = np.linalg.cond(X[greedy])
-            if best is None or cond < best[0]:
-                best = (cond, greedy, usable, np.zeros(usable.size, dtype=int))
-        except CornerFindingError:
-            pass
-    if best is None:
+    if np.unique(labels).size < K:
         raise CornerFindingError(
             f"candidate rows collapse into fewer than {K} clusters; try a smaller K")
-    _, corners, cand, labels = best
-    return CornerSet(indices=corners, margins=margins,
+    corners = []
+    for k in range(K):
+        members = cand[labels == k]
+        score = X[members] @ centers[k]
+        corners.append(int(members[score >= score.max() - 1e-12].min()))
+    return CornerSet(indices=np.array(sorted(corners), dtype=int), margins=margins,
                      candidates=cand, cluster_assignments=labels)
 
 

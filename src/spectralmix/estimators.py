@@ -50,6 +50,8 @@ class EstimationResult:
 
 
 def _corner_block_inverse(B, what):
+    """Inverse of a corner block; the one condition check any corner pick
+    goes through, so a singular block fails the fit by name."""
     cond = np.linalg.cond(B)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise EstimationError(

@@ -79,7 +79,9 @@ class ExperimentConfig:
 class SweepResult:
     config: ExperimentConfig
     grid: list
-    table: dict  # (method, rho) -> {"errors": [...], "seconds": [...], "mean": .., "std": ..}
+    # (method, rho) -> {"errors", "replicates", "seconds", "failures", "mean",
+    # "std"}; "replicates" holds the replicate index behind each error
+    table: dict
     invalid: dict = field(default_factory=dict)  # rho -> reason
 
     def mean_errors(self, method):
@@ -95,7 +97,7 @@ class SweepResult:
             for rho in self.valid_grid():
                 for method in self.config.methods:
                     cell = self.table[(method, rho)]
-                    for rep, (err, sec) in enumerate(zip(cell["errors"], cell["seconds"])):
+                    for rep, err, sec in zip(cell["replicates"], cell["errors"], cell["seconds"]):
                         writer.writerow([method, rho, rep, f"{err:.10g}", f"{sec:.6g}"])
 
     def summary(self):
@@ -122,18 +124,10 @@ class SweepResult:
 
 def _support_violation(core_min, core_max, rho, dist):
     """Worst-case expectation range at scale rho against the family support."""
-    lo, hi = core_min * rho * rho, core_max * rho * rho
-    if dist.kind == "bernoulli":
-        if lo < 0:
-            return f"bernoulli means would reach {lo:.4g} < 0"
-        if hi > 1:
-            return f"bernoulli means would reach {hi:.4g} > 1"
-    elif dist.kind == "poisson":
-        if lo < 0:
-            return f"poisson means would reach {lo:.4g} < 0"
-    elif dist.kind == "signed":
-        if max(abs(lo), abs(hi)) > 1:
-            return f"signed means would reach magnitude {max(abs(lo), abs(hi)):.4g} > 1"
+    lo, hi = dist.support
+    for mean in (core_min * rho * rho, core_max * rho * rho):
+        if not lo <= mean <= hi:
+            return f"{dist.kind} means would reach {mean:.4g}, outside [{lo:g}, {hi:g}]"
     return None
 
 
@@ -145,10 +139,12 @@ def _replicate_seeds(master_seed, tags):
 def run_sweep(cfg, progress=None):
     """Run every (grid point, replicate, method) cell of a sweep.
 
-    Each replicate draws a fresh theta and adjacency. Grid points whose
-    worst-case expectation range violates the distribution support, or
-    where a method fails on every replicate, are skipped with a recorded
-    reason instead of clamped; ``progress`` is called for valid points only.
+    Each replicate draws a fresh theta and adjacency. A fit that raises a
+    named estimation or corner error, or a ``LinAlgError``, counts as a
+    failed replicate of its method. Grid points whose worst-case
+    expectation range violates the distribution support, or where a method
+    fails on every replicate, are skipped with a recorded reason instead of
+    clamped; ``progress`` is called for valid points only.
     """
     Pi = cfg.membership()
     P = cfg.block_matrix()
@@ -166,7 +162,7 @@ def run_sweep(cfg, progress=None):
             continue
         errors = {m: [] for m in cfg.methods}
         seconds = {m: [] for m in cfg.methods}
-        failures = {m: 0 for m in cfg.methods}
+        replicates = {m: [] for m in cfg.methods}
         for rep in range(cfg.replicates):
             s_theta, s_adj, s_est = _replicate_seeds(cfg.master_seed, (gi, rep))
             theta = _model.make_theta(cfg.n, rho, cfg.theta_rule, seed=s_theta)
@@ -177,13 +173,14 @@ def run_sweep(cfg, progress=None):
                 t0 = time.perf_counter()
                 try:
                     result = _estimators.estimate(method, A, cfg.K, seed=s_est)
-                except (_estimators.EstimationError, CornerFindingError):
-                    failures[method] += 1
+                except (_estimators.EstimationError, CornerFindingError,
+                        np.linalg.LinAlgError):
                     continue
                 dt = time.perf_counter() - t0
                 report = _metrics.l1_error_rate(result.Pi_hat, Pi)
                 errors[method].append(report.l1_rate)
                 seconds[method].append(dt)
+                replicates[method].append(rep)
         for method in cfg.methods:
             if not errors[method]:
                 invalid[rho] = f"{method} failed on all {cfg.replicates} replicates"
@@ -191,8 +188,9 @@ def run_sweep(cfg, progress=None):
             errs = np.array(errors[method])
             table[(method, rho)] = {
                 "errors": errors[method],
+                "replicates": replicates[method],
                 "seconds": seconds[method],
-                "failures": failures[method],
+                "failures": cfg.replicates - len(errors[method]),
                 "mean": float(errs.mean()),
                 "std": float(errs.std()),
             }

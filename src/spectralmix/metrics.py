@@ -25,14 +25,6 @@ class ErrorReport:
     miscluster_count: int
     highly_mixed_mask: np.ndarray
 
-    def as_dict(self):
-        return {
-            "l1_rate": float(self.l1_rate),
-            "best_permutation": [int(p) for p in self.best_permutation],
-            "miscluster_count": int(self.miscluster_count),
-            "highly_mixed_count": int(np.sum(self.highly_mixed_mask)),
-        }
-
 
 def _column_l1_costs(Pi_hat, Pi):
     # cost[k, l] = sum_i |Pi_hat(i, k) - Pi(i, l)|

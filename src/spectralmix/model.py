@@ -34,12 +34,11 @@ class SupportError(ValueError):
         self.values = values
 
 
-def check_membership(Pi, require_pure=True, tol=SIMPLEX_TOL):
+def check_membership(Pi, tol=SIMPLEX_TOL):
     """Validate an n x K membership matrix (rows on the simplex, full rank).
 
-    When ``require_pure`` every community must own at least one pure row
-    (a standard basis vector), which is what identifiability needs for a
-    ground-truth matrix. Estimated memberships can skip that check.
+    Every community must own at least one pure row (a standard basis
+    vector), which is what identifiability needs for a ground-truth matrix.
     """
     Pi = np.asarray(Pi, dtype=float)
     if Pi.ndim != 2:
@@ -55,12 +54,11 @@ def check_membership(Pi, require_pure=True, tol=SIMPLEX_TOL):
     sv = np.linalg.svd(Pi, compute_uv=False)
     if sv[-1] <= RANK_TOL * sv[0]:
         raise InvariantError(f"membership matrix is rank deficient (sigma_K/sigma_1 = {sv[-1] / sv[0]:.3g})")
-    if require_pure:
-        for k in range(K):
-            target = np.zeros(K)
-            target[k] = 1.0
-            if not np.any(np.abs(Pi - target).sum(axis=1) <= K * tol):
-                raise InvariantError(f"community {k + 1} has no pure row")
+    for k in range(K):
+        target = np.zeros(K)
+        target[k] = 1.0
+        if not np.any(np.abs(Pi - target).sum(axis=1) <= K * tol):
+            raise InvariantError(f"community {k + 1} has no pure row")
     return Pi
 
 
@@ -113,14 +111,17 @@ class EdgeDistribution:
     """Edge-weight family: one of normal/bernoulli/poisson/signed.
 
     ``normal`` takes a variance parameter; the other three are
-    parameter-free. ``validate`` enforces each family's support constraint
-    on the expectation entries (hard errors, never clamping).
+    parameter-free. ``SUPPORT`` holds each family's closed range of
+    admissible means; ``validate`` enforces it on the expectation entries
+    (hard errors, never clamping), and sweeps screen grid points with it.
     """
 
     kind: str
     variance: float | None = None
 
-    KINDS = ("normal", "bernoulli", "poisson", "signed")
+    SUPPORT = {"normal": (-np.inf, np.inf), "bernoulli": (0.0, 1.0),
+               "poisson": (0.0, np.inf), "signed": (-1.0, 1.0)}
+    KINDS = tuple(SUPPORT)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -131,28 +132,22 @@ class EdgeDistribution:
         elif self.variance is not None:
             raise ValueError(f"{self.kind} edge distribution takes no variance parameter")
 
+    @property
+    def support(self):
+        return self.SUPPORT[self.kind]
+
     def validate(self, omega):
-        """Check every off-diagonal mean lies in this family's support range."""
+        """Check every off-diagonal mean is finite and in this family's support."""
         omega = np.asarray(omega, dtype=float)
         off = ~np.eye(omega.shape[0], dtype=bool)
-        if self.kind == "bernoulli":
-            bad = off & ((omega < 0) | (omega > 1))
-            what = "outside [0, 1]"
-        elif self.kind == "poisson":
-            bad = off & (omega < 0)
-            what = "negative"
-        elif self.kind == "signed":
-            bad = off & ((omega < -1) | (omega > 1))
-            what = "outside [-1, 1]"
-        else:
-            bad = off & ~np.isfinite(omega)
-            what = "not finite"
+        lo, hi = self.support
+        bad = off & (~np.isfinite(omega) | (omega < lo) | (omega > hi))
         if np.any(bad):
             idx = np.argwhere(bad)
             i, j = idx[0]
             raise SupportError(
-                f"{self.kind} mean at ({i},{j}) is {omega[i, j]:.6g}, {what} "
-                f"({len(idx)} offending entries)",
+                f"{self.kind} mean at ({i},{j}) is {omega[i, j]:.6g}, not a finite value "
+                f"in [{lo:g}, {hi:g}] ({len(idx)} offending entries)",
                 indices=idx,
                 values=omega[bad],
             )
@@ -165,12 +160,6 @@ class EdgeDistribution:
         if self.kind == "poisson":
             return rng.poisson(means).astype(float)
         return 2.0 * rng.binomial(1, (1.0 + means) / 2.0) - 1.0
-
-    def to_config(self):
-        cfg = {"kind": self.kind}
-        if self.variance is not None:
-            cfg["variance"] = self.variance
-        return cfg
 
     @classmethod
     def from_config(cls, cfg):

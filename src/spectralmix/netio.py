@@ -102,8 +102,13 @@ def _edges_gml(path):
             else:
                 if "source" not in fields or "target" not in fields:
                     raise ParseError(f"{path}: edge block without source/target")
-                w = float(fields.get("value", fields.get("weight", 1.0)))
-                edges.append((fields["source"], fields["target"], w))
+                u, v = fields["source"], fields["target"]
+                raw = fields.get("value", fields.get("weight", "1"))
+                try:
+                    w = float(raw)
+                except ValueError:
+                    raise ParseError(f"{path}: bad weight {raw!r} on edge {u!r}-{v!r}")
+                edges.append((u, v, w))
         i += 1
 
     return edges, nodes
@@ -133,7 +138,10 @@ def _edges_pajek(path):
                 parts = line.split()
                 if len(parts) < 2:
                     raise ParseError(f"{path}:{lineno}: bad edge line {line!r}")
-                w = float(parts[2]) if len(parts) > 2 else 1.0
+                try:
+                    w = float(parts[2]) if len(parts) > 2 else 1.0
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad weight {parts[2]!r}")
                 edges.append((parts[0], parts[1], w))
             else:
                 raise ParseError(f"{path}:{lineno}: content before any *Vertices/*Edges section")
@@ -152,13 +160,18 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     ``symmetrize="strict"`` merges reciprocal duplicates only when their
     weights agree (conflicts are errors); ``"or"`` treats the file as a
     directed unweighted graph and keeps an edge wherever either direction
-    appears. Self loops are dropped and counted, and a non-finite weight
-    is a ``ParseError``. ``largest_component`` restricts to the biggest
-    connected component (id map follows).
+    appears. Self loops are dropped and counted; a repeated node id and a
+    non-finite weight are each a ``ParseError``. ``largest_component``
+    restricts to the biggest connected component (id map follows).
     """
     if format not in _PARSERS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     edges, nodes = _PARSERS[format](path)
+    declared = set()
+    for nid, _, _ in nodes:
+        if nid in declared:
+            raise ParseError(f"{path}: node id {nid!r} declared twice")
+        declared.add(nid)
 
     # prefer declared labels as node identities, but only when unique:
     # some public files carry duplicate labels under distinct ids
@@ -211,8 +224,7 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     labels = None
     raw = [values.get(x) for x in ids]
     if values and all(r is not None for r in raw):
-        uniq = sorted(set(raw), key=lambda s: (len(s), s))
-        labels = np.array([uniq.index(r) + 1 for r in raw], dtype=int)
+        labels = _number_labels(raw)
 
     removed = 0
     if largest_component:
@@ -228,6 +240,12 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
 
     return LoadedNetwork(adjacency=A, ids=ids, labels=labels,
                          dropped_self_loops=self_loops, removed_nodes=removed)
+
+
+def _number_labels(values):
+    """1-based label numbers in (length, text) order, so "2" comes before "10"."""
+    rank = {v: i + 1 for i, v in enumerate(sorted(set(values), key=lambda s: (len(s), s)))}
+    return np.array([rank[v] for v in values], dtype=int)
 
 
 def save_edge_list(network, path):
@@ -255,9 +273,7 @@ def load_labels(path, ids):
     missing = [x for x in ids if str(x) not in raw]
     if missing:
         raise ParseError(f"{path}: missing labels for {len(missing)} nodes, e.g. {missing[:3]}")
-    values = [raw[str(x)] for x in ids]
-    uniq = sorted(set(values), key=lambda s: (len(s), s))
-    return np.array([uniq.index(v) + 1 for v in values], dtype=int)
+    return _number_labels([raw[str(x)] for x in ids])
 
 
 @dataclass

@@ -188,6 +188,23 @@ class TestSvmConeCorners:
         cs = svm_cone_corners(nr, 2, seed=0)
         assert 5 not in cs.indices
 
+    def test_collapsed_band_retries_on_every_usable_row(self):
+        # a sparse poisson draw (experiment 3 at n=80, rho=0.2) where 66 of
+        # 80 rows are degenerate: the 6-row band clusters into only two
+        # groups, and one pass over all 14 usable rows finds three
+        cfg = harness.experiment_config(3, n=80, n0=8, replicates=1, master_seed=960329833)
+        s_theta, s_adj, s_est = harness._replicate_seeds(cfg.master_seed, (0, 0))
+        theta = model.make_theta(cfg.n, 0.2, cfg.theta_rule, seed=s_theta)
+        omega = model.build_omega(cfg.block_matrix(), cfg.membership(), theta)
+        A = model.sample_adjacency(omega, cfg.edge_distribution(), seed=s_adj)
+        normalized = row_normalize(top_k_eigs(A, 3).U)
+        cs = svm_cone_corners(normalized, 3, seed=s_est)
+        usable = sorted(set(range(80)) - set(normalized.degenerate))
+        assert len(usable) == 14
+        assert sorted(cs.candidates.tolist()) == usable
+        assert sorted(set(cs.cluster_assignments.tolist())) == [0, 1, 2]
+        assert np.linalg.cond(normalized.matrix[cs.indices]) < 1e8
+
     def test_collapse_recommends_smaller_k(self):
         X = np.tile(np.array([[1.0, 0.0]]), (6, 1))
         with pytest.raises(CornerFindingError, match="smaller K"):

@@ -81,6 +81,35 @@ class TestRunSweep:
         assert sweep.valid_grid() == []
         assert all("dfsp failed on all 2 replicates" in r for r in sweep.invalid.values())
 
+    def test_linalg_failure_on_one_replicate(self, monkeypatch, tmp_path):
+        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
+        clean = run_sweep(cfg)
+        first = {harness._replicate_seeds(cfg.master_seed, (gi, 0))[2]
+                 for gi in range(len(cfg.rho_grid))}
+        real_dfsp = estimators.ESTIMATORS["dfsp"]
+
+        def fails_on_replicate_zero(A, K, seed=0):
+            if seed in first:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_dfsp(A, K, seed=seed)
+
+        monkeypatch.setitem(estimators.ESTIMATORS, "dfsp", fails_on_replicate_zero)
+        sweep = run_sweep(cfg)
+        assert sweep.valid_grid() == cfg.rho_grid
+        for rho in cfg.rho_grid:
+            cell = sweep.table[("dfsp", rho)]
+            assert cell["failures"] == 1 and cell["replicates"] == [1, 2]
+            assert cell["errors"] == clean.table[("dfsp", rho)]["errors"][1:]
+            assert sweep.table[("scd", rho)]["errors"] == clean.table[("scd", rho)]["errors"]
+        sweep.write_csv(tmp_path / "sweep.csv")
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
+        for method, reps in (("scd", ["0", "1", "2"]), ("dfsp", ["1", "2"])):
+            for rho in cfg.rho_grid:
+                got = [r for r in rows if r["method"] == method and float(r["rho"]) == rho]
+                assert [r["replicate"] for r in got] == reps
+                assert [float(r["error"]) for r in got] == pytest.approx(
+                    sweep.table[(method, rho)]["errors"], abs=1e-9)
+
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(rho_grid=[])

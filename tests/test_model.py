@@ -206,7 +206,10 @@ class TestEdgeDistribution:
         with pytest.raises(ValueError):
             EdgeDistribution("poisson", variance=1.0)
 
-    def test_config_round_trip(self):
-        d = EdgeDistribution("normal", variance=2.0)
-        assert EdgeDistribution.from_config(d.to_config()) == d
+    @pytest.mark.parametrize("kind", EdgeDistribution.KINDS)
+    def test_nan_mean_rejected(self, kind):
+        dist = EdgeDistribution(kind, variance=1.0 if kind == "normal" else None)
+        omega = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(SupportError, match=rf"{kind} mean at \(0,1\) is nan"):
+            sample_adjacency(omega, dist, seed=0)
 

@@ -141,20 +141,33 @@ class TestPajek:
 
 
 class TestNonFiniteWeights:
+    """Bad weights and repeated node ids fail as a ParseError naming the file."""
+
     FILES = {
         "whitespace_triplets": "a b 1\nb c {w}\n",
         "gml_like": ('graph [ node [ id 1 label "a" ] node [ id 2 label "b" ] '
-                     'node [ id 3 label "c" ] edge [ source 1 target 2 ] '
+                     'node [ id {last} label "c" ] edge [ source 1 target 2 ] '
                      'edge [ source 2 target 3 value {w} ] ]'),
-        "pajek_like": '*Vertices 3\n1 "a"\n2 "b"\n3 "c"\n*Edges\n1 2 1\n2 3 {w}\n',
+        "pajek_like": '*Vertices 3\n1 "a"\n2 "b"\n{last} "c"\n*Edges\n1 2 1\n2 3 {w}\n',
     }
+    NON_FINITE = r"bad\.txt: non-finite weight .* 'b'-'c'"
+    EXPECTED = {
+        ("whitespace_triplets", "x"): r"bad\.txt:2: bad weight 'x'",
+        ("gml_like", "x"): r"bad\.txt: bad weight 'x' on edge '2'-'3'",
+        ("pajek_like", "x"): r"bad\.txt:7: bad weight 'x'",
+        ("gml_like", "repeated_id"): r"bad\.txt: node id '2' declared twice",
+        ("pajek_like", "repeated_id"): r"bad\.txt: node id '2' declared twice",
+    }
+    CASES = ([(fmt, w) for w in ("inf", "-inf", "nan", "x") for fmt in FORMATS]
+             + [("gml_like", "repeated_id"), ("pajek_like", "repeated_id")])
 
-    @pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
-    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("fmt,weight", CASES, ids=[f"{f}-{w}" for f, w in CASES])
     def test_rejected_naming_file_and_edge(self, tmp_path, fmt, weight):
+        repeated = weight == "repeated_id"
         path = tmp_path / "bad.txt"
-        path.write_text(self.FILES[fmt].format(w=weight))
-        with pytest.raises(ParseError, match=r"bad\.txt: non-finite weight .* 'b'-'c'"):
+        path.write_text(self.FILES[fmt].format(w=1 if repeated else weight,
+                                               last=2 if repeated else 3))
+        with pytest.raises(ParseError, match=self.EXPECTED.get((fmt, weight), self.NON_FINITE)):
             load_edge_list(path, format=fmt)
 
 
