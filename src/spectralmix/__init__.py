@@ -21,10 +21,10 @@ from .harness import (
     ExperimentConfig,
     SweepResult,
     experiment_config,
-    run_setup,
     run_setup_replicates,
     run_sweep,
     scaling_check,
+    setup_config,
 )
 from .metrics import ErrorReport, highly_mixed, home_base, l1_error_rate, miscluster_count
 from .model import (
@@ -36,7 +36,7 @@ from .model import (
     make_theta,
     sample_adjacency,
 )
-from .netio import fit_network, load_edge_list, save_edge_list, scree_report
+from .netio import fit_network, load_edge_list, scree_report
 from .spectral import NormalizedRows, SpectralPair, row_normalize, top_k_eigs, top_singular_values
 
 __version__ = "0.1.0"
@@ -45,12 +45,12 @@ __all__ = [
     "CornerFindingError", "CornerSet", "MarginSolution", "one_class_margin",
     "spa_corners", "spherical_kmeans", "svm_cone_corners",
     "EstimationError", "EstimationResult", "dfsp", "ideal_scd", "scd",
-    "ExperimentConfig", "SweepResult", "experiment_config", "run_setup",
-    "run_setup_replicates", "run_sweep", "scaling_check",
+    "ExperimentConfig", "SweepResult", "experiment_config",
+    "run_setup_replicates", "run_sweep", "scaling_check", "setup_config",
     "ErrorReport", "highly_mixed", "home_base", "l1_error_rate", "miscluster_count",
     "EdgeDistribution", "InvariantError", "SupportError", "build_omega",
     "make_synthetic_membership", "make_theta", "sample_adjacency",
-    "fit_network", "load_edge_list", "save_edge_list", "scree_report",
+    "fit_network", "load_edge_list", "scree_report",
     "NormalizedRows", "SpectralPair", "row_normalize", "top_k_eigs",
     "top_singular_values",
 ]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, netio
+from . import estimators, harness, netio
 
 
 def _cmd_simulate(args):
@@ -69,8 +69,7 @@ def _cmd_fit(args):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report.write_csv(out / "memberships.csv")
-        scree = netio.scree_report(report.network.adjacency,
-                                   m=min(15, report.network.n))
+        scree = netio.scree_report(report.network.adjacency)
         netio.write_summary(report, out / "summary.json", scree=scree)
         print(f"wrote {out / 'memberships.csv'} and {out / 'summary.json'}")
     return 0
@@ -81,7 +80,7 @@ def _cmd_scree(args):
                                    symmetrize=args.symmetrize,
                                    largest_component=args.largest_component,
                                    unweighted=args.unweighted)
-    report = netio.scree_report(network.adjacency, m=min(args.top, network.n))
+    report = netio.scree_report(network.adjacency, m=args.top)
     for k, s in enumerate(report.singular_values, 1):
         print(f"{k:3d}  {s:.6g}")
     print(f"suggested K = {report.suggested_k}")
@@ -108,7 +107,7 @@ def main(argv=None):
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_setup = sub.add_parser("setup", help="run a canned demonstration set-up")
-    p_setup.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4))
+    p_setup.add_argument("--id", type=int, required=True, choices=sorted(harness.SETUP_PARAMS))
     p_setup.add_argument("--reps", type=int, default=50)
     p_setup.add_argument("--seed", type=int, default=0)
     p_setup.add_argument("--out", default=None)
@@ -117,7 +116,7 @@ def main(argv=None):
     p_fit = sub.add_parser("fit", help="fit a network file")
     p_fit.add_argument("--file", required=True)
     p_fit.add_argument("--k", type=int, required=True)
-    p_fit.add_argument("--method", default="scd", choices=("scd", "dfsp"))
+    p_fit.add_argument("--method", default="scd", choices=tuple(estimators.ESTIMATORS))
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--labels", default=None)
     p_fit.add_argument("--out", default=None)

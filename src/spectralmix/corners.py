@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import NormalizedRows
-
 QP_TOL = 1e-8
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
 DELTA_CAP = 0.5
 FLOOR_FRAC = 0.25
 
@@ -55,7 +55,7 @@ class CornerSet:
     cluster_assignments: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
 
-def _dual_ascent(Y, box, tol=QP_TOL, max_iter=100_000):
+def _dual_ascent(Y, box, max_iter):
     """FISTA on the dual max 1'a - 0.5 ||Y'a||^2 over 0 <= a <= box.
 
     Returns (alpha, w, margins, gap). gap is the certified duality gap when
@@ -86,13 +86,13 @@ def _dual_ascent(Y, box, tol=QP_TOL, max_iter=100_000):
                 wf = w / mmin
                 dual = a.sum() - 0.5 * np.dot(w, w)
                 gap = 0.5 * np.dot(wf, wf) - dual
-                if gap <= tol:
+                if gap <= QP_TOL:
                     break
     w = Y.T @ a
     return a, w, Y @ w, gap
 
 
-def one_class_margin(points, tol=QP_TOL):
+def one_class_margin(points):
     """Solve min ||w||^2 subject to w . y_i >= 1 over unit-norm rows y_i.
 
     Infeasible inputs (the rows' conic hull is not pointed) raise a
@@ -103,9 +103,9 @@ def one_class_margin(points, tol=QP_TOL):
     norms = np.linalg.norm(Y, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("one_class_margin expects unit-norm rows")
-    a, w, margins, gap = _dual_ascent(Y, box=1e4, tol=tol, max_iter=30_000)
+    a, w, margins, gap = _dual_ascent(Y, box=1e4, max_iter=30_000)
     mmin = margins.min()
-    if mmin <= 1e-12 or not np.isfinite(gap) or gap > np.sqrt(tol):
+    if mmin <= 1e-12 or not np.isfinite(gap) or gap > np.sqrt(QP_TOL):
         lam = a / a.sum() if a.sum() > 0 else np.full(len(a), 1.0 / len(a))
         resid = float(np.linalg.norm(Y.T @ lam))
         raise CornerFindingError(
@@ -117,8 +117,8 @@ def one_class_margin(points, tol=QP_TOL):
     return MarginSolution(w=w, row_margins=Y @ w)
 
 
-def spherical_kmeans(points, K, seed, restarts=10, max_iter=300):
-    """Cosine k-means on unit rows; best of ``restarts`` runs by the
+def spherical_kmeans(points, K, seed):
+    """Cosine k-means on unit rows; best of ``KMEANS_RESTARTS`` runs by the
     within-cluster cosine-distance objective. Empty clusters re-seed at the
     point farthest from its current center."""
     X = np.asarray(points, dtype=float)
@@ -127,7 +127,7 @@ def spherical_kmeans(points, K, seed, restarts=10, max_iter=300):
         raise ValueError(f"need at least K={K} points, got {m}")
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(KMEANS_RESTARTS):
         idx = [int(rng.integers(m))]
         for _ in range(K - 1):
             d = np.maximum(0.0, np.min(1.0 - X @ X[idx].T, axis=1))
@@ -138,7 +138,7 @@ def spherical_kmeans(points, K, seed, restarts=10, max_iter=300):
                 idx.append(int(rng.choice(m, p=d / total)))
         C = X[idx].copy()
         labels = np.argmax(X @ C.T, axis=1)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             for k in range(K):
                 if not np.any(labels == k):
                     far = int(np.argmin(np.max(X @ C.T, axis=1)))
@@ -163,16 +163,9 @@ def spherical_kmeans(points, K, seed, restarts=10, max_iter=300):
     return best[1], best[2]
 
 
-def _as_normalized(rows):
-    """(unit rows, their pre-normalization norms, degenerate row indices)."""
-    if isinstance(rows, NormalizedRows):
-        return rows.matrix, rows.row_norms, list(rows.degenerate)
-    X = np.asarray(rows, dtype=float)
-    return X, np.linalg.norm(X, axis=1), []
-
-
 def svm_cone_corners(normalized, K, seed):
-    """Pick K corner rows of a row-normalized eigenvector matrix.
+    """Pick K corner rows of a row-normalized eigenvector matrix, given as
+    the ``spectral.NormalizedRows`` that ``spectral.row_normalize`` returns.
 
     On a pointed hull the candidates are the minimal-margin band, widened
     geometrically up to ``DELTA_CAP`` until it holds ``max(2K, FLOOR_FRAC
@@ -191,18 +184,18 @@ def svm_cone_corners(normalized, K, seed):
     whose largest rows belong to the high-degree, least noisy nodes. That
     route reports every usable row as a candidate under one cluster label.
     """
-    X, row_norms, degenerate = _as_normalized(normalized)
+    X, row_norms = normalized.matrix, normalized.row_norms
     n = X.shape[0]
     if n < K:
         raise CornerFindingError(f"cannot find {K} corners among {n} rows")
-    usable = np.setdiff1d(np.arange(n), np.asarray(degenerate, dtype=int))
+    usable = np.setdiff1d(np.arange(n), np.asarray(normalized.degenerate, dtype=int))
     if usable.size < K:
         raise CornerFindingError(
             f"only {usable.size} non-degenerate rows but K={K}; try a smaller K")
     Y = X[usable]
     # ranking-quality margins: a small box and iteration cap keep noisy
     # (often non-pointed) inputs cheap; the ordering stabilizes early
-    _, _, margins_u, _ = _dual_ascent(Y, box=100.0, tol=QP_TOL, max_iter=3000)
+    _, _, margins_u, _ = _dual_ascent(Y, box=100.0, max_iter=3000)
     mmin = margins_u.min()
     margins = np.full(n, np.inf)
     margins[usable] = margins_u

@@ -87,9 +87,14 @@ def ideal_scd(omega, K, seed=0):
     """Exact membership recovery from a rank-K expectation matrix.
 
     Raises when the input does not have numerical rank K, since exactness
-    is only meaningful in that regime.
+    is only meaningful in that regime, and on non-finite input or K outside
+    1..n.
     """
     omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("expectation matrix has non-finite entries")
+    if not 1 <= K <= omega.shape[0]:
+        raise ValueError(f"K={K} out of range for n={omega.shape[0]}")
     sv = np.linalg.svd(omega, compute_uv=False)
     if sv[K - 1] <= 1e-10 * sv[0] or (K < len(sv) and sv[K] > 1e-8 * sv[0]):
         raise EstimationError(
@@ -113,8 +118,6 @@ def scd(A, K, seed=0):
     set to the uniform membership and reported in ``degenerate_rows``.
     """
     A = np.asarray(A, dtype=float)
-    if K < 1:
-        raise ValueError("K must be >= 1")
     pair = _spectral.top_k_eigs(A, K)
     normalized = _spectral.row_normalize(pair.U)
     corner_set = _corners.svm_cone_corners(normalized, K, seed)
@@ -137,8 +140,6 @@ def dfsp(A, K, seed=0):
     deterministic.
     """
     A = np.asarray(A, dtype=float)
-    if K < 1:
-        raise ValueError("K must be >= 1")
     pair = _spectral.top_k_eigs(A, K)
     corner_set = _corners.spa_corners(pair.U, K)
     B = pair.U[corner_set.indices]

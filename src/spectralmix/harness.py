@@ -249,52 +249,38 @@ SETUP_PARAMS = {
 }
 
 
-def setup_model(setup_id, variance_override=None):
-    """Ground-truth parameters of demonstration set-up 1..4.
+def setup_config(setup_id):
+    """Demonstration set-up 1..4 as a one-point sweep config.
 
     Two communities, n0 pure nodes each, a (0.7, 0.3) mixed tail, and the
-    deterministic ramp theta.
+    deterministic ramp theta at the set-up's rho.
     """
     if setup_id not in SETUP_PARAMS:
         raise ValueError("setup id must be 1, 2, 3 or 4")
     params = SETUP_PARAMS[setup_id]
-    n, n0, rho = params["n"], params["n0"], params["rho"]
-    dist_cfg = dict(params["distribution"])
-    if variance_override is not None and dist_cfg["kind"] == "normal":
-        dist_cfg["variance"] = variance_override
-    Pi = _model.make_synthetic_membership(n, 2, n0, [((0.7, 0.3), n - 2 * n0)])
-    P = np.array([[1.0, params["p_offdiag"]], [params["p_offdiag"], 1.0]])
-    theta = _model.make_theta(n, rho, "linear_ramp")
-    omega = _model.build_omega(P, Pi, theta)
-    dist = _model.EdgeDistribution.from_config(dist_cfg)
-    return omega, Pi, dist
+    n, n0 = params["n"], params["n0"]
+    return ExperimentConfig(
+        n=n, K=2, n0=n0, mixed_profiles=[((0.7, 0.3), n - 2 * n0)],
+        p_offdiag=params["p_offdiag"], distribution=dict(params["distribution"]),
+        rho_grid=[params["rho"]], theta_rule="linear_ramp",
+    )
 
 
-def run_setup(setup_id, seed=0, methods=("scd", "dfsp"), variance_override=None,
-              keep_self_loops=False):
-    """One adjacency draw of a set-up, fitted by each method."""
-    omega, Pi, dist = setup_model(setup_id, variance_override)
-    s_adj, s_est, _ = _replicate_seeds(seed, (setup_id,))
-    A = _model.sample_adjacency(omega, dist, seed=s_adj,
-                                keep_self_loops=keep_self_loops)
-    reports = {}
-    for method in methods:
-        result = _estimators.estimate(method, A, 2, seed=s_est)
-        reports[method] = _metrics.l1_error_rate(result.Pi_hat, Pi)
-    return reports
-
-
-def run_setup_replicates(setup_id, reps=DEFAULT_REPLICATES, master_seed=0,
-                         methods=("scd", "dfsp"), variance_override=None,
-                         keep_self_loops=False):
-    """Replicate a set-up over fresh draws; returns per-method error arrays."""
-    errors = {m: [] for m in methods}
+def run_setup_replicates(setup_id, reps=DEFAULT_REPLICATES, master_seed=0):
+    """Fit each method to fresh draws of a set-up; returns per-method error
+    arrays. Draw ``rep`` is seeded by ``master_seed + rep``."""
+    cfg = setup_config(setup_id)
+    Pi = cfg.membership()
+    theta = _model.make_theta(cfg.n, cfg.rho_grid[0], cfg.theta_rule)
+    omega = _model.build_omega(cfg.block_matrix(), Pi, theta)
+    dist = cfg.edge_distribution()
+    errors = {m: [] for m in cfg.methods}
     for rep in range(reps):
-        reports = run_setup(setup_id, seed=master_seed + rep, methods=methods,
-                            variance_override=variance_override,
-                            keep_self_loops=keep_self_loops)
-        for m in methods:
-            errors[m].append(reports[m].l1_rate)
+        s_adj, s_est, _ = _replicate_seeds(master_seed + rep, (setup_id,))
+        A = _model.sample_adjacency(omega, dist, seed=s_adj)
+        for method in cfg.methods:
+            result = _estimators.estimate(method, A, cfg.K, seed=s_est)
+            errors[method].append(_metrics.l1_error_rate(result.Pi_hat, Pi).l1_rate)
     return {m: np.array(v) for m, v in errors.items()}
 
 

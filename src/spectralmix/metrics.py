@@ -22,8 +22,6 @@ MIXED_THRESHOLD = 0.8
 class ErrorReport:
     l1_rate: float
     best_permutation: tuple
-    miscluster_count: int
-    highly_mixed_mask: np.ndarray
 
 
 def _column_l1_costs(Pi_hat, Pi):
@@ -60,15 +58,7 @@ def l1_error_rate(Pi_hat, Pi, exhaustive=None):
         exhaustive = K <= EXHAUSTIVE_K
     cost = _column_l1_costs(Pi_hat, Pi)
     total, perm = _min_perm(cost, exhaustive)
-    labels_hat = home_base(Pi_hat)
-    labels_true = home_base(Pi)
-    miscount, _ = miscluster_count(labels_hat, labels_true, K=K)
-    return ErrorReport(
-        l1_rate=total / n,
-        best_permutation=perm,
-        miscluster_count=miscount,
-        highly_mixed_mask=highly_mixed(Pi_hat),
-    )
+    return ErrorReport(l1_rate=total / n, best_permutation=perm)
 
 
 def home_base(Pi_hat):

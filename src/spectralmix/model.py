@@ -34,7 +34,7 @@ class SupportError(ValueError):
         self.values = values
 
 
-def check_membership(Pi, tol=SIMPLEX_TOL):
+def check_membership(Pi):
     """Validate an n x K membership matrix (rows on the simplex, full rank).
 
     Every community must own at least one pure row (a standard basis
@@ -44,12 +44,12 @@ def check_membership(Pi, tol=SIMPLEX_TOL):
     if Pi.ndim != 2:
         raise InvariantError("membership matrix must be 2-d")
     n, K = Pi.shape
-    if np.any(Pi < -tol):
+    if np.any(Pi < -SIMPLEX_TOL):
         i, k = np.unravel_index(np.argmin(Pi), Pi.shape)
         raise InvariantError(f"membership entry ({i},{k})={Pi[i, k]:.3g} is negative")
     rowsums = Pi.sum(axis=1)
     bad = np.argmax(np.abs(rowsums - 1.0))
-    if abs(rowsums[bad] - 1.0) > max(tol, 64 * np.finfo(float).eps * K):
+    if abs(rowsums[bad] - 1.0) > max(SIMPLEX_TOL, 64 * np.finfo(float).eps * K):
         raise InvariantError(f"membership row {bad} sums to {rowsums[bad]!r}, not 1")
     sv = np.linalg.svd(Pi, compute_uv=False)
     if sv[-1] <= RANK_TOL * sv[0]:
@@ -57,19 +57,19 @@ def check_membership(Pi, tol=SIMPLEX_TOL):
     for k in range(K):
         target = np.zeros(K)
         target[k] = 1.0
-        if not np.any(np.abs(Pi - target).sum(axis=1) <= K * tol):
+        if not np.any(np.abs(Pi - target).sum(axis=1) <= K * SIMPLEX_TOL):
             raise InvariantError(f"community {k + 1} has no pure row")
     return Pi
 
 
-def check_block_matrix(P, tol=SIMPLEX_TOL):
+def check_block_matrix(P):
     """Validate a K x K symmetric full-rank block matrix with unit diagonal."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise InvariantError("block matrix must be square")
-    if np.max(np.abs(P - P.T)) > tol:
+    if np.max(np.abs(P - P.T)) > SIMPLEX_TOL:
         raise InvariantError("block matrix is not symmetric")
-    if np.max(np.abs(np.diag(P) - 1.0)) > tol:
+    if np.max(np.abs(np.diag(P) - 1.0)) > SIMPLEX_TOL:
         raise InvariantError("block matrix diagonal entries must all equal 1")
     sv = np.linalg.svd(P, compute_uv=False)
     if sv[-1] <= RANK_TOL * sv[0]:

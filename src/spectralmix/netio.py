@@ -159,9 +159,10 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
 
     ``symmetrize="strict"`` merges reciprocal duplicates only when their
     weights agree (conflicts are errors); ``"or"`` treats the file as a
-    directed unweighted graph and keeps an edge wherever either direction
-    appears. Self loops are dropped and counted; a repeated node id and a
-    non-finite weight are each a ``ParseError``. ``largest_component``
+    directed unweighted graph and keeps an edge of weight 1 wherever either
+    direction appears, whatever its weight. Self loops are dropped and
+    counted; a repeated node id and a non-finite weight are each a
+    ``ParseError``. ``largest_component``
     restricts to the biggest connected component (id map follows).
     """
     if format not in _PARSERS:
@@ -204,12 +205,12 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
         if i == j:
             self_loops += 1
             continue
+        if symmetrize == "or":
+            A[i, j] = A[j, i] = 1.0
+            continue
         if unweighted:
             w = 1.0
         key = (min(i, j), max(i, j))
-        if symmetrize == "or":
-            A[i, j] = A[j, i] = 1.0 if unweighted else max(A[i, j], w)
-            continue
         if key in have:
             prev, prev_directed = have[key]
             if (i, j) == prev_directed:
@@ -248,16 +249,6 @@ def _number_labels(values):
     return np.array([rank[v] for v in values], dtype=int)
 
 
-def save_edge_list(network, path):
-    """Write a loaded network back out as whitespace triplets (upper triangle)."""
-    A, ids = network.adjacency, network.ids
-    with open(path, "w") as fh:
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                if A[i, j] != 0:
-                    fh.write(f"{ids[i]} {ids[j]} {A[i, j]:.12g}\n")
-
-
 def load_labels(path, ids):
     """Sidecar ground-truth labels: lines of 'id label'. Returns 1-based ints."""
     raw = {}
@@ -287,6 +278,8 @@ def scree_report(A, m=15):
     consecutive drop sigma_k / sigma_{k+1}."""
     A = np.asarray(A, dtype=float)
     m = min(m, A.shape[0])
+    if m < 2:
+        raise ValueError(f"a scree report needs at least 2 singular values, got m={m}")
     sv = _spectral.top_singular_values(A, m)
     tiny = 1e-12 * max(sv[0], 1e-300)
     ratios = np.where(sv[1:] > tiny, sv[:-1] / np.maximum(sv[1:], tiny), np.inf)
@@ -341,10 +334,13 @@ class FitReport:
 
 def fit_network(source, K, method="scd", seed=0, format="whitespace_triplets",
                 labels_path=None, symmetrize="strict", largest_component=False,
-                unweighted=False, mixed_threshold=_metrics.MIXED_THRESHOLD):
+                unweighted=False):
     """Load (if needed) and fit a network, returning per-node labels,
     memberships, mixedness flags and, when ground truth exists, miscluster
-    statistics."""
+    statistics. K must be at least 2, the least for which a membership can
+    be highly mixed."""
+    if K < 2:
+        raise ValueError(f"K must be at least 2, got {K}")
     if isinstance(source, LoadedNetwork):
         network = source
     else:
@@ -355,7 +351,7 @@ def fit_network(source, K, method="scd", seed=0, format="whitespace_triplets",
         network.labels = load_labels(labels_path, network.ids)
     result = _estimators.estimate(method, network.adjacency, K, seed=seed)
     labels_hat = _metrics.home_base(result.Pi_hat)
-    mixed = _metrics.highly_mixed(result.Pi_hat, threshold=mixed_threshold)
+    mixed = _metrics.highly_mixed(result.Pi_hat)
     report = FitReport(network=network, result=result, home_base=labels_hat,
                        highly_mixed=mixed)
     if network.labels is not None and network.labels.max() == K:

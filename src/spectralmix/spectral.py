@@ -3,9 +3,9 @@
 Magnitude ordering matters here because valid block matrices can carry
 negative entries, so informative eigenvalues may sit at either end of the
 spectrum. Dense inputs up to ``DENSE_LIMIT`` use a full symmetric solve;
-larger ones use Lanczos iterations on both spectrum ends, merged by
-magnitude. The Lanczos solvers start from a fixed vector, so repeated
-calls on the same input are bitwise equal.
+larger ones use one Lanczos call for the largest magnitudes. The Lanczos
+solvers start from a fixed vector, so repeated calls on the same input are
+bitwise equal.
 """
 
 from __future__ import annotations
@@ -64,41 +64,39 @@ def _fix_signs(U):
     return U
 
 
-def top_k_eigs(M, K, dense_limit=DENSE_LIMIT):
+def top_k_eigs(M, K):
     """The K largest-magnitude eigenpairs of a symmetric real matrix.
 
     Ties between +x and -x order the positive eigenvalue first, then by
-    original index; both rules exist only to make runs reproducible.
-    Raises on asymmetric input; warns when the K-th eigenvalue is
-    negligible relative to the first (rank deficiency).
+    original index; both rules exist only to make runs reproducible. They
+    hold in full on the dense route. On the Lanczos route (n above
+    ``DENSE_LIMIT``) ARPACK returns only K eigenpairs, so an exact tie at
+    the K-th magnitude is broken by ARPACK, not by the positive-first rule.
+    Raises on non-finite or asymmetric input; warns when the K-th eigenvalue
+    is negligible relative to the first (rank deficiency).
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.ndim != 2 or M.shape[1] != n:
         raise ValueError("matrix must be square")
     scale = np.max(np.abs(M)) or 1.0
+    if not np.isfinite(scale):
+        bad = np.argwhere(~np.isfinite(M))
+        i, j = bad[0]
+        raise ValueError(f"matrix has {len(bad)} non-finite entries, "
+                         f"the first ({i},{j}) = {M[i, j]}")
     if np.max(np.abs(M - M.T)) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     if not 1 <= K <= n:
         raise ValueError(f"K={K} out of range for n={n}")
 
-    if n <= dense_limit or 2 * K >= n - 1:
+    if n <= DENSE_LIMIT or K >= n - 1:
         vals, vecs = np.linalg.eigh(M)
-        pick = _order_by_magnitude(vals, K)
-        lam = vals[pick]
-        U = vecs[:, pick].copy()
     else:
-        k_end = min(K, n - 2)
-        v0 = _start_vector(n)
-        hi_vals, hi_vecs = eigsh(M, k=k_end, which="LA", v0=v0)
-        lo_vals, lo_vecs = eigsh(M, k=k_end, which="SA", v0=v0)
-        vals = np.concatenate([hi_vals, lo_vals])
-        vecs = np.hstack([hi_vecs, lo_vecs])
-        pick = _order_by_magnitude(vals, K)
-        lam = vals[pick]
-        U = vecs[:, pick].copy()
-
-    U = _fix_signs(U)
+        vals, vecs = eigsh(M, k=K, which="LM", v0=_start_vector(n))
+    pick = _order_by_magnitude(vals, K)
+    lam = vals[pick]
+    U = _fix_signs(vecs[:, pick].copy())
     if abs(lam[-1]) < 1e-12 * max(abs(lam[0]), 1e-300):
         warnings.warn(
             f"eigenvalue {K} is negligible ({lam[-1]:.3g} vs {lam[0]:.3g}); "
@@ -124,13 +122,13 @@ def row_normalize(U):
     return NormalizedRows(matrix=out, row_norms=norms, degenerate=degenerate.tolist())
 
 
-def top_singular_values(M, m, dense_limit=DENSE_LIMIT):
+def top_singular_values(M, m):
     """The m largest singular values, nonincreasing."""
     M = np.asarray(M, dtype=float)
     n = min(M.shape)
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range for min dimension {n}")
-    if n <= dense_limit or m >= n - 1:
+    if n <= DENSE_LIMIT or m >= n - 1:
         sv = np.linalg.svd(M, compute_uv=False)
     else:
         sv = np.sort(svds(M, k=m, v0=_start_vector(n), return_singular_vectors=False))[::-1]

@@ -148,7 +148,7 @@ class TestSvmConeCorners:
 
     def test_duplicate_corners_equivalent(self):
         X = np.vstack([np.eye(2)] * 5)
-        cs = svm_cone_corners(X, 2, seed=0)
+        cs = svm_cone_corners(row_normalize(X), 2, seed=0)
         B = X[cs.indices]
         # any representative works: the recovered simplex is {e1, e2} exactly
         assert np.allclose(B[np.argsort(B[:, 0])], [[0.0, 1.0], [1.0, 0.0]])
@@ -159,7 +159,7 @@ class TestSvmConeCorners:
         rng = np.random.default_rng(0)
         noisy = normalized.matrix + 1e-3 * rng.normal(size=normalized.matrix.shape)
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
-        cs = svm_cone_corners(noisy, 3, seed=0)
+        cs = svm_cone_corners(row_normalize(noisy), 3, seed=0)
         Bc = normalized.matrix[clean.indices]
         Bn = noisy[cs.indices]
         # match each noisy corner to its closest clean corner by angle
@@ -170,8 +170,8 @@ class TestSvmConeCorners:
         normalized, _, _ = ideal_normalized(6, n=50, K=3)
         rng = np.random.default_rng(1)
         R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        cs1 = svm_cone_corners(normalized.matrix, 3, seed=2)
-        cs2 = svm_cone_corners(normalized.matrix @ R, 3, seed=2)
+        cs1 = svm_cone_corners(row_normalize(normalized.matrix), 3, seed=2)
+        cs2 = svm_cone_corners(row_normalize(normalized.matrix @ R), 3, seed=2)
         assert set(cs1.indices.tolist()) == set(cs2.indices.tolist())
 
     def test_determinism(self):
@@ -208,7 +208,7 @@ class TestSvmConeCorners:
     def test_collapse_recommends_smaller_k(self):
         X = np.tile(np.array([[1.0, 0.0]]), (6, 1))
         with pytest.raises(CornerFindingError, match="smaller K"):
-            svm_cone_corners(X, 2, seed=0)
+            svm_cone_corners(row_normalize(X), 2, seed=0)
 
 
 @pytest.fixture(scope="module")

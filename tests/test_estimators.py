@@ -157,3 +157,16 @@ def test_estimate_dispatch():
     assert estimate("dfsp", A, K, seed=0).method == "dfsp"
     with pytest.raises(ValueError, match="unknown method"):
         estimate("mixedscore", A, K)
+
+
+@pytest.mark.parametrize("fit", [scd, dfsp, ideal_scd])
+@pytest.mark.parametrize("bad", ["nan", "inf", "K=n+1"])
+def test_bad_input_fails_at_the_boundary(fit, bad):
+    A = np.ones((5, 5)) + np.eye(5)
+    K = 2
+    if bad == "K=n+1":
+        K = 6
+    else:
+        A[0, 1] = A[1, 0] = float(bad)
+    with pytest.raises(ValueError, match="non-finite|out of range"):
+        fit(A, K)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,11 +9,10 @@ from spectralmix import estimators, harness
 from spectralmix.harness import (
     ExperimentConfig,
     experiment_config,
-    run_setup,
     run_setup_replicates,
     run_sweep,
     scaling_check,
-    setup_model,
+    setup_config,
     spearman_rho_vs_error,
 )
 
@@ -170,21 +170,26 @@ class TestSetups:
         (3, 24, 8, "poisson"), (4, 30, 12, "signed"),
     ])
     def test_parameters(self, setup_id, n, n0, kind):
-        omega, Pi, dist = setup_model(setup_id)
-        assert omega.shape == (n, n)
+        cfg = setup_config(setup_id)
+        Pi = cfg.membership()
         assert Pi.shape == (n, 2)
         assert np.array_equal(Pi[n0 - 1], [1, 0])
         assert np.allclose(Pi[2 * n0:], [0.7, 0.3])
-        assert dist.kind == kind
+        assert cfg.edge_distribution().kind == kind
+        assert cfg.theta_rule == "linear_ramp"
+        assert cfg.rho_grid == [harness.SETUP_PARAMS[setup_id]["rho"]]
 
     def test_noiseless_override_recovers(self):
-        reports = run_setup(1, seed=0, variance_override=0.0, keep_self_loops=True)
-        assert reports["scd"].l1_rate <= 1e-6
+        # zero variance with self loops kept: the draw is the expectation
+        cfg = dataclasses.replace(setup_config(1), replicates=1, keep_self_loops=True,
+                                  distribution={"kind": "normal", "variance": 0.0})
+        sweep = run_sweep(cfg)
+        assert sweep.table[("scd", cfg.rho_grid[0])]["mean"] <= 1e-6
 
     def test_single_draw_runs_both_methods(self):
-        reports = run_setup(2, seed=1)
-        assert set(reports) == {"scd", "dfsp"}
-        assert 0 <= reports["scd"].l1_rate <= 2
+        errors = run_setup_replicates(2, reps=1, master_seed=1)
+        assert set(errors) == {"scd", "dfsp"}
+        assert 0 <= errors["scd"][0] <= 2
 
     def test_replicates_shape_and_determinism(self):
         a = run_setup_replicates(3, reps=3, master_seed=5)
@@ -194,7 +199,7 @@ class TestSetups:
 
     def test_bad_id(self):
         with pytest.raises(ValueError):
-            setup_model(5)
+            setup_config(5)
 
 
 class TestDirectionalEffects:

@@ -84,9 +84,8 @@ class TestL1ErrorRate:
         Pi = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         Pi_hat = np.array([[0.9, 0.1], [0.1, 0.9], [0.55, 0.45]])
         report = l1_error_rate(Pi_hat, Pi)
+        assert report.l1_rate == pytest.approx(0.5 / 3, abs=1e-12)
         assert report.best_permutation == (0, 1)
-        assert report.miscluster_count == 0
-        assert report.highly_mixed_mask.tolist() == [False, False, True]
 
 
 class TestHomeBase:

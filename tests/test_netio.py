@@ -7,7 +7,6 @@ from spectralmix.netio import (
     fit_network,
     load_edge_list,
     load_labels,
-    save_edge_list,
     scree_report,
 )
 
@@ -65,6 +64,10 @@ class TestWhitespaceTriplets:
         net = load_edge_list(path, symmetrize="or", unweighted=True)
         assert net.adjacency[0, 1] == 1.0
         assert net.adjacency[1, 2] == 1.0
+        # every weight reads as 1 under "or", negative ones included
+        path.write_text("a b -2\nb c 1\nc a -1\n")
+        net = load_edge_list(path, symmetrize="or")
+        assert np.array_equal(net.adjacency, np.ones((3, 3)) - np.eye(3))
 
     def test_parse_failure_reports_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -216,14 +219,6 @@ class TestLargestComponent:
 
 
 class TestRoundTrip:
-    def test_save_and_reload_identical(self, tmp_path, data_dir):
-        net = load_edge_list(data_dir / "karate.tsv")
-        out = tmp_path / "karate_again.tsv"
-        save_edge_list(net, out)
-        again = load_edge_list(out)
-        remap = [again.ids.index(x) for x in net.ids]
-        assert np.array_equal(again.adjacency[np.ix_(remap, remap)], net.adjacency)
-
     def test_id_relabeling_keeps_metrics(self, tmp_path, data_dir):
         raw = (data_dir / "karate.tsv").read_text()
         renamed = tmp_path / "karate_renamed.tsv"
@@ -259,6 +254,10 @@ class TestScree:
         report = scree_report(A, 10)
         assert len(report.singular_values) == 3
 
+    def test_fewer_than_two_values_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 singular values"):
+            scree_report(np.eye(3), 1)
+
 
 class TestFitNetwork:
     def test_karate_fit_surface(self, data_dir):
@@ -279,6 +278,10 @@ class TestFitNetwork:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 78  # header + 77 nodes
         assert lines[0].startswith("id,home_base,highly_mixed,pi_1")
+
+    def test_k_below_two_rejected_before_loading(self, tmp_path):
+        with pytest.raises(ValueError, match="K must be at least 2"):
+            fit_network(tmp_path / "absent.tsv", 1)
 
     def test_labels_sidecar_missing_node(self, tmp_path):
         net = tmp_path / "n.tsv"

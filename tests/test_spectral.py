@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ground_truth
-from spectralmix import model
+from spectralmix import model, spectral
 from spectralmix.spectral import (
     NormalizedRows,
     row_normalize,
@@ -73,19 +73,21 @@ class TestTopKEigs:
                 col = pair.U[:, k]
                 assert col[np.argmax(np.abs(col))] > 0
 
-    def test_iterative_path_matches_dense(self):
+    def test_iterative_path_matches_dense(self, monkeypatch):
         M = random_rank_k_omega(13, n=120, K=3) + 1e-3 * np.eye(120)
         dense = top_k_eigs(M, 3)
-        iterative = top_k_eigs(M, 3, dense_limit=50)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 50)
+        iterative = top_k_eigs(M, 3)
         assert np.allclose(dense.eigenvalues, iterative.eigenvalues, rtol=1e-8)
         assert np.allclose(np.abs(dense.U), np.abs(iterative.U), atol=1e-6)
 
-    def test_iterative_path_repeatable(self):
+    def test_iterative_path_repeatable(self, monkeypatch):
         rng = np.random.default_rng(3)
         M = rng.normal(size=(300, 300))
         M = M + M.T
-        p1 = top_k_eigs(M, 3, dense_limit=50)
-        p2 = top_k_eigs(M, 3, dense_limit=50)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 50)
+        p1 = top_k_eigs(M, 3)
+        p2 = top_k_eigs(M, 3)
         assert np.array_equal(p1.U, p2.U)
         assert np.array_equal(p1.eigenvalues, p2.eigenvalues)
 
@@ -136,18 +138,19 @@ class TestTopSingularValues:
         eig = np.sort(np.abs(np.linalg.eigvalsh(M)))[::-1][:5]
         assert np.allclose(sv, eig, rtol=1e-8, atol=1e-10)
 
-    def test_iterative_matches_dense(self):
+    def test_iterative_matches_dense(self, monkeypatch):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(80, 80))
         dense = top_singular_values(M, 6)
-        iterative = top_singular_values(M, 6, dense_limit=20)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 20)
+        iterative = top_singular_values(M, 6)
         assert np.allclose(dense, iterative, rtol=1e-6)
 
-    def test_iterative_repeatable(self):
+    def test_iterative_repeatable(self, monkeypatch):
         rng = np.random.default_rng(3)
         M = rng.normal(size=(300, 300))
-        assert np.array_equal(top_singular_values(M, 6, dense_limit=50),
-                              top_singular_values(M, 6, dense_limit=50))
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 50)
+        assert np.array_equal(top_singular_values(M, 6), top_singular_values(M, 6))
 
     def test_nonincreasing(self):
         rng = np.random.default_rng(6)
