@@ -89,7 +89,7 @@ def _cmd_scree(args):
 
 def _add_io_options(sub):
     sub.add_argument("--format", default="whitespace_triplets", choices=netio.FORMATS)
-    sub.add_argument("--symmetrize", default="strict", choices=("strict", "or"))
+    sub.add_argument("--symmetrize", default="strict", choices=netio.SYMMETRIZE)
     sub.add_argument("--largest-component", action="store_true")
     sub.add_argument("--unweighted", action="store_true")
 
@@ -130,7 +130,10 @@ def main(argv=None):
     p_scree.set_defaults(func=_cmd_scree)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input, netio.ParseError included
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

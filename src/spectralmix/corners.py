@@ -5,13 +5,13 @@ every row is a nonnegative combination of K corner rows, and the corners
 are the rows of pure nodes. Two selection routes live here:
 
 * ``svm_cone_corners`` ranks rows by their one-class max-margin value
-  (corners have minimal margin) and clusters the minimal-margin band, or
-  the lowest-margin rows when the band stays small, into K groups on the
-  sphere; a band that collapses is clustered again over every usable row,
-  and is an error if that collapses too. A non-pointed empirical hull
-  (negative off-diagonal blocks under heavy noise) carries no corner
-  information in its margins, so it takes the successive-projection pick
-  on the degree-weighted rows instead.
+  (corners have minimal margin), solved exactly as one least-distance
+  problem, and clusters the minimal-margin band, or the lowest-margin rows
+  when the band stays small, into K groups on the sphere; a band that
+  collapses into fewer than K groups is an error. A non-pointed empirical
+  hull (negative off-diagonal blocks under heavy noise) has no max-margin
+  solution, so it takes the successive-projection pick on the
+  degree-weighted rows instead.
 * ``spa_corners`` is the classical successive-projection pick used by the
   separable-factorization baseline: repeatedly take the max-norm row and
   project the rest onto its orthocomplement.
@@ -22,8 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import nnls
 
-QP_TOL = 1e-8
+# NNLS residual at or below which the origin is in the rows' convex hull:
+# non-pointed sweep draws give about 1e-16, the thinnest pointed ones 4e-4
+HULL_TOL = 1e-10
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 DELTA_CAP = 0.5
@@ -49,71 +52,50 @@ class MarginSolution:
 
 @dataclass
 class CornerSet:
+    """K corner row indices and the per-row values that chose them.
+
+    From ``svm_cone_corners``, ``margins`` holds ``inf`` on degenerate
+    rows; on a pointed hull it holds each usable row's exact one-class
+    margin (minimum 1), and on a non-pointed hull ``0`` on every usable
+    row. From ``spa_corners`` it holds the input row norms.
+    """
+
     indices: np.ndarray
     margins: np.ndarray
     candidates: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     cluster_assignments: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
 
-def _dual_ascent(Y, box, max_iter):
-    """FISTA on the dual max 1'a - 0.5 ||Y'a||^2 over 0 <= a <= box.
-
-    Returns (alpha, w, margins, gap). gap is the certified duality gap when
-    the primal iterate is feasible (min margin > 0), else inf; the loop
-    stops early only on that certificate, so infeasible input runs to
-    ``max_iter``.
-    """
-    Y = np.asarray(Y, dtype=float)
-    n, K = Y.shape
-    G = Y.T @ Y
-    L = max(float(np.linalg.eigvalsh(G)[-1]), 1e-12)
-    a = np.zeros(n)
-    z = a.copy()
-    t = 1.0
-    gap = np.inf
-    for it in range(max_iter):
-        w = Y.T @ z
-        grad = 1.0 - Y @ w
-        a_new = np.clip(z + grad / L, 0.0, box)
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        z = a_new + ((t - 1.0) / t_new) * (a_new - a)
-        a, t = a_new, t_new
-        if it % 50 == 49:
-            w = Y.T @ a
-            margins = Y @ w
-            mmin = margins.min()
-            if mmin > 1e-12:
-                wf = w / mmin
-                dual = a.sum() - 0.5 * np.dot(w, w)
-                gap = 0.5 * np.dot(wf, wf) - dual
-                if gap <= QP_TOL:
-                    break
-    w = Y.T @ a
-    return a, w, Y @ w, gap
-
-
 def one_class_margin(points):
     """Solve min ||w||^2 subject to w . y_i >= 1 over unit-norm rows y_i.
 
-    Infeasible inputs (the rows' conic hull is not pointed) raise a
-    ``CornerFindingError`` whose certificate is a convex combination of the
-    rows with near-zero norm.
+    This is least-distance programming, solved exactly by one nonnegative
+    least-squares problem (Lawson and Hanson, *Solving Least Squares
+    Problems*, ch. 23): u >= 0 minimizing ||E u - e_{K+1}|| with
+    E = [Y'; 1']. A residual of at most ``HULL_TOL`` puts the origin in the
+    rows' convex hull, so the hull is not pointed and the problem has no
+    solution: that raises a ``CornerFindingError`` whose certificate is the
+    convex weights u / sum(u), with Y'u ~ 0. Otherwise, with residual r,
+    w = -r[:K] / r[K] and ||w||^2 = 1 / ||r||^2 - 1.
     """
     Y = np.asarray(points, dtype=float)
     norms = np.linalg.norm(Y, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("one_class_margin expects unit-norm rows")
-    a, w, margins, gap = _dual_ascent(Y, box=1e4, max_iter=30_000)
-    mmin = margins.min()
-    if mmin <= 1e-12 or not np.isfinite(gap) or gap > np.sqrt(QP_TOL):
-        lam = a / a.sum() if a.sum() > 0 else np.full(len(a), 1.0 / len(a))
-        resid = float(np.linalg.norm(Y.T @ lam))
+    E = np.vstack([Y.T, np.ones(len(Y))])
+    f = np.zeros(E.shape[0])
+    f[-1] = 1.0
+    u, rnorm = nnls(E, f)
+    if rnorm <= HULL_TOL:
+        lam = u / u.sum()
         raise CornerFindingError(
             "no hyperplane through the origin separates the rows "
-            f"(convex weights with combination norm {resid:.3g} certify a non-pointed hull)",
+            f"(convex weights with combination norm {np.linalg.norm(Y.T @ lam):.3g} "
+            "certify a non-pointed hull)",
             certificate=lam,
         )
-    w = w / mmin
+    r = E @ u - f
+    w = -r[:-1] / r[-1]
     return MarginSolution(w=w, row_margins=Y @ w)
 
 
@@ -167,22 +149,22 @@ def svm_cone_corners(normalized, K, seed):
     """Pick K corner rows of a row-normalized eigenvector matrix, given as
     the ``spectral.NormalizedRows`` that ``spectral.row_normalize`` returns.
 
-    On a pointed hull the candidates are the minimal-margin band, widened
-    geometrically up to ``DELTA_CAP`` until it holds ``max(2K, FLOOR_FRAC
-    * rows)`` rows, else that many lowest-margin rows. One spherical
-    k-means pass splits them into K clusters, each represented by its
-    member closest to the center (lowest index among ties). A band that
-    collapses into fewer than K clusters gets one more pass over every
-    usable row (sparse draws where most rows are degenerate need it), then
-    ``CornerFindingError``. The corner block's condition is checked only
-    by the estimator that inverts it. Degenerate rows are never candidates.
+    On a pointed hull the candidates are the minimal-margin band of
+    ``one_class_margin``'s exact margins, widened geometrically up to
+    ``DELTA_CAP`` until it holds ``max(2K, FLOOR_FRAC * rows)`` rows, else
+    that many lowest-margin rows. One spherical k-means pass splits them
+    into K clusters, each represented by its member closest to the center
+    (lowest index among ties); candidates that collapse into fewer than K
+    clusters raise ``CornerFindingError``. The corner block's condition is
+    checked only by the estimator that inverts it. Degenerate rows are
+    never candidates.
 
-    When the minimum margin is not positive, no hyperplane through the
-    origin separates the rows, so the margins say nothing about which rows
-    are pure: the corners are the successive-projection pick on the
-    degree-weighted rows (unit rows times their pre-normalization norms),
-    whose largest rows belong to the high-degree, least noisy nodes. That
-    route reports every usable row as a candidate under one cluster label.
+    When ``one_class_margin`` certifies that no hyperplane through the
+    origin separates the rows, there are no margins to rank, so the
+    corners are the successive-projection pick on the degree-weighted rows
+    (unit rows times their pre-normalization norms), whose largest rows
+    belong to the high-degree, least noisy nodes. That route reports every
+    usable row as a candidate under one cluster label.
     """
     X, row_norms = normalized.matrix, normalized.row_norms
     n = X.shape[0]
@@ -192,34 +174,28 @@ def svm_cone_corners(normalized, K, seed):
     if usable.size < K:
         raise CornerFindingError(
             f"only {usable.size} non-degenerate rows but K={K}; try a smaller K")
-    Y = X[usable]
-    # ranking-quality margins: a small box and iteration cap keep noisy
-    # (often non-pointed) inputs cheap; the ordering stabilizes early
-    _, _, margins_u, _ = _dual_ascent(Y, box=100.0, max_iter=3000)
-    mmin = margins_u.min()
     margins = np.full(n, np.inf)
-    margins[usable] = margins_u
-    if mmin <= 0:
-        # non-pointed empirical hull: greedy pick on the degree-weighted rows
+    try:
+        margins_u = one_class_margin(X[usable]).row_margins
+    except CornerFindingError:
+        margins[usable] = 0.0
         weighted = X[usable] * row_norms[usable, None]
         return CornerSet(indices=np.sort(usable[spa_corners(weighted, K).indices]),
                          margins=margins, candidates=usable,
                          cluster_assignments=np.zeros(usable.size, dtype=int))
+    margins[usable] = margins_u
 
+    mmin = margins_u.min()
     floor = min(usable.size, max(2 * K, int(np.ceil(FLOOR_FRAC * usable.size))))
-    order = usable[np.argsort(margins_u, kind="stable")]
     delta = 1e-6
     cand = usable[margins_u <= (1.0 + delta) * mmin]
     while cand.size < floor and delta < DELTA_CAP:
         delta = min(max(delta * 1.5, 1e-4), DELTA_CAP)
         cand = usable[margins_u <= (1.0 + delta) * mmin]
     if cand.size < floor:
-        cand = order[:floor]
+        cand = usable[np.argsort(margins_u, kind="stable")[:floor]]
 
     labels, centers = spherical_kmeans(X[cand], K, seed)
-    if np.unique(labels).size < K and cand.size < usable.size:
-        cand = order
-        labels, centers = spherical_kmeans(X[cand], K, seed)
     if np.unique(labels).size < K:
         raise CornerFindingError(
             f"candidate rows collapse into fewer than {K} clusters; try a smaller K")

@@ -151,6 +151,7 @@ def _edges_pajek(path):
 _PARSERS = {"whitespace_triplets": _edges_whitespace, "gml_like": _edges_gml,
             "pajek_like": _edges_pajek}
 FORMATS = tuple(_PARSERS)
+SYMMETRIZE = ("strict", "or")
 
 
 def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
@@ -167,6 +168,8 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     """
     if format not in _PARSERS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    if symmetrize not in SYMMETRIZE:
+        raise ValueError(f"unknown symmetrize {symmetrize!r}; expected one of {SYMMETRIZE}")
     edges, nodes = _PARSERS[format](path)
     declared = set()
     for nid, _, _ in nodes:

@@ -47,3 +47,17 @@ def test_simulate_command(tmp_path):
     assert len(rows) == 4  # 2 methods x 1 grid point x 2 replicates
     summary = json.load(open(tmp_path / "run" / "summary.json"))
     assert "scd" in summary["methods"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--file", "karate.tsv", "--k", "1"], "K must be at least 2"),
+    (["scree", "--file", "karate.tsv", "--top", "1"], "at least 2 singular values"),
+], ids=["fit-k1", "scree-top1"])
+def test_bad_input_exits_2_with_one_line(data_dir, capsys, argv, message):
+    argv = [str(data_dir / a) if a == "karate.tsv" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("spectralmix: error: ")
+    assert message in err

@@ -25,6 +25,18 @@ def pure_rows_of(Pi):
     return {k: set(np.where(np.abs(Pi[:, k] - 1.0) < 1e-12)[0]) for k in range(Pi.shape[1])}
 
 
+def sweep_draw(cfg, rho, rep):
+    """The adjacency and estimator seed ``harness.run_sweep`` uses for
+    replicate ``rep`` at grid point ``rho``."""
+    s_theta, s_adj, s_est = harness._replicate_seeds(cfg.master_seed,
+                                                     (cfg.rho_grid.index(rho), rep))
+    theta = model.make_theta(cfg.n, rho, cfg.theta_rule, seed=s_theta)
+    omega = model.build_omega(cfg.block_matrix(), cfg.membership(), theta)
+    A = model.sample_adjacency(omega, cfg.edge_distribution(), seed=s_adj,
+                               keep_self_loops=cfg.keep_self_loops)
+    return A, s_est
+
+
 class TestOneClassMargin:
     def test_identity_corners(self):
         sol = one_class_margin(np.eye(3))
@@ -188,22 +200,43 @@ class TestSvmConeCorners:
         cs = svm_cone_corners(nr, 2, seed=0)
         assert 5 not in cs.indices
 
-    def test_collapsed_band_retries_on_every_usable_row(self):
+    def test_opposite_rows_take_weighted_spa(self):
         # a sparse poisson draw (experiment 3 at n=80, rho=0.2) where 66 of
-        # 80 rows are degenerate: the 6-row band clusters into only two
-        # groups, and one pass over all 14 usable rows finds three
+        # 80 rows are degenerate; the 14 usable rows include +e3 and -e3,
+        # so the hull is not pointed
         cfg = harness.experiment_config(3, n=80, n0=8, replicates=1, master_seed=960329833)
-        s_theta, s_adj, s_est = harness._replicate_seeds(cfg.master_seed, (0, 0))
-        theta = model.make_theta(cfg.n, 0.2, cfg.theta_rule, seed=s_theta)
-        omega = model.build_omega(cfg.block_matrix(), cfg.membership(), theta)
-        A = model.sample_adjacency(omega, cfg.edge_distribution(), seed=s_adj)
+        A, s_est = sweep_draw(cfg, 0.2, 0)
         normalized = row_normalize(top_k_eigs(A, 3).U)
+        usable = np.setdiff1d(np.arange(80), normalized.degenerate)
+        assert usable.size == 14
+        Y = normalized.matrix[usable]
+        with pytest.raises(CornerFindingError) as err:
+            one_class_margin(Y)
+        lam = err.value.certificate
+        assert lam.min() >= 0 and lam.sum() == pytest.approx(1.0)
+        assert np.linalg.norm(Y.T @ lam) < 1e-12
         cs = svm_cone_corners(normalized, 3, seed=s_est)
-        usable = sorted(set(range(80)) - set(normalized.degenerate))
-        assert len(usable) == 14
-        assert sorted(cs.candidates.tolist()) == usable
-        assert sorted(set(cs.cluster_assignments.tolist())) == [0, 1, 2]
-        assert np.linalg.cond(normalized.matrix[cs.indices]) < 1e8
+        weighted = Y * normalized.row_norms[usable, None]
+        assert cs.indices.tolist() == sorted(usable[spa_corners(weighted, 3).indices].tolist())
+        assert cs.candidates.tolist() == usable.tolist()
+        assert not cs.cluster_assignments.any()
+        assert np.all(cs.margins[usable] == 0)
+        assert np.all(np.isinf(np.delete(cs.margins, usable)))
+
+    @pytest.mark.parametrize("rho", [1.3, 1.4, 1.5])
+    def test_thin_pointed_hull_takes_band(self, rho):
+        # experiment 1 draws whose hull is pointed only by a thin margin
+        # (||w*|| of 47 to 76): the exact solve separates them
+        cfg = harness.experiment_config(1, master_seed=1002)
+        A, s_est = sweep_draw(cfg, rho, 0)
+        normalized = row_normalize(top_k_eigs(A, cfg.K).U)
+        assert not normalized.degenerate
+        sol = one_class_margin(normalized.matrix)
+        assert sol.row_margins.min() >= 1.0 - 1e-9
+        cs = svm_cone_corners(normalized, cfg.K, seed=s_est)
+        assert np.allclose(cs.margins, sol.row_margins)
+        assert cs.candidates.size < A.shape[0]
+        assert sorted(set(cs.cluster_assignments.tolist())) == list(range(cfg.K))
 
     def test_collapse_recommends_smaller_k(self):
         X = np.tile(np.array([[1.0, 0.0]]), (6, 1))
@@ -217,15 +250,8 @@ def signed_sweep_draws():
     rho=1.0 and master seed 11, drawn as ``harness.run_sweep`` draws them.
     Every one of these draws has a non-pointed empirical hull."""
     cfg = harness.experiment_config(4, master_seed=11)
-    gi = cfg.rho_grid.index(1.0)
-    Pi, P, dist = cfg.membership(), cfg.block_matrix(), cfg.edge_distribution()
-    draws = []
-    for rep in range(10):
-        s_theta, s_adj, s_est = harness._replicate_seeds(cfg.master_seed, (gi, rep))
-        theta = model.make_theta(cfg.n, 1.0, cfg.theta_rule, seed=s_theta)
-        A = model.sample_adjacency(model.build_omega(P, Pi, theta), dist, seed=s_adj)
-        draws.append((A, s_est))
-    return Pi, cfg.K, draws
+    draws = [sweep_draw(cfg, 1.0, rep) for rep in range(10)]
+    return cfg.membership(), cfg.K, draws
 
 
 class TestNonPointedHull:

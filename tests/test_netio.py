@@ -81,6 +81,12 @@ class TestWhitespaceTriplets:
         with pytest.raises(ParseError):
             load_edge_list(path)
 
+    def test_unknown_symmetrize_rejected(self, tmp_path):
+        path = tmp_path / "tiny.tsv"
+        path.write_text("a b 1\nb c 2\n")
+        with pytest.raises(ValueError, match=r"symmetrize 'bogus'.*'strict', 'or'"):
+            load_edge_list(path, symmetrize="bogus")
+
 
 class TestGml:
     GML = """graph [
