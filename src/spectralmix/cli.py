@@ -132,7 +132,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad input, netio.ParseError included
+    except (ValueError, OSError) as exc:  # bad input (ParseError included), unreadable file
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

@@ -6,6 +6,12 @@ a reconstruction that maps each node's eigenvector row onto the simplex
 spanned by the corners. The empirical estimator additionally clamps
 negatives and routes all-zero rows to the uniform vector so isolated
 nodes never abort a fit.
+
+The first stage, the leading-K eigendecomposition of ``A``, is the same
+for ``scd`` and ``dfsp``. Both take it as an optional ``pair``: a sweep
+that fits both methods to one draw solves it once and hands the
+``SpectralPair`` to each (neither method writes to it). Without a pair,
+each method solves it itself.
 """
 
 from __future__ import annotations
@@ -110,15 +116,16 @@ def ideal_scd(omega, K, seed=0):
                             degenerate_rows=degenerate, method="ideal_scd")
 
 
-def scd(A, K, seed=0):
+def scd(A, K, seed=0, pair=None):
     """Empirical membership estimate from a symmetric adjacency matrix.
 
     Negative entries of the reconstruction are clamped to zero before the
     row normalization; rows that clamp to all zeros (isolated nodes) are
     set to the uniform membership and reported in ``degenerate_rows``.
+    ``pair``, when given, is ``top_k_eigs(A, K)`` computed by the caller.
     """
-    A = np.asarray(A, dtype=float)
-    pair = _spectral.top_k_eigs(A, K)
+    if pair is None:
+        pair = _spectral.top_k_eigs(A, K)
     normalized = _spectral.row_normalize(pair.U)
     corner_set = _corners.svm_cone_corners(normalized, K, seed)
     Z, clamped = _reconstruct(pair.U, pair.eigenvalues, normalized.matrix,
@@ -131,16 +138,16 @@ def scd(A, K, seed=0):
                             clamped_diag_count=clamped)
 
 
-def dfsp(A, K, seed=0):
+def dfsp(A, K, seed=0, pair=None):
     """Separable-factorization baseline without degree correction.
 
     Corners come from successive projection on the raw eigenvector rows;
     the membership is the clamped projection onto the corner basis. The
     seed is accepted for interface parity but the pipeline is
-    deterministic.
+    deterministic. ``pair`` is as in ``scd``.
     """
-    A = np.asarray(A, dtype=float)
-    pair = _spectral.top_k_eigs(A, K)
+    if pair is None:
+        pair = _spectral.top_k_eigs(A, K)
     corner_set = _corners.spa_corners(pair.U, K)
     B = pair.U[corner_set.indices]
     Y = np.maximum(0.0, pair.U @ _corner_block_inverse(B, "eigenvector"))
@@ -152,9 +159,11 @@ def dfsp(A, K, seed=0):
 ESTIMATORS = {"scd": scd, "dfsp": dfsp}
 
 
-def estimate(method, A, K, seed=0):
+def estimate(method, A, K, seed=0, pair=None):
+    """Fit ``method`` to ``A``; ``pair`` is a precomputed ``top_k_eigs(A, K)``
+    that a caller fitting several methods to one ``A`` shares among them."""
     try:
         fn = ESTIMATORS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; expected one of {sorted(ESTIMATORS)}")
-    return fn(A, K, seed=seed)
+    return fn(A, K, seed=seed, pair=pair)

@@ -4,6 +4,11 @@ canonical small demonstration set-ups, and the error-rate scaling check.
 Replicate seeds derive from (master_seed, grid index, replicate index)
 through named seed sequences, so a sweep is reproducible bit-for-bit and
 replicates can run in any order.
+
+Every draw goes through one spectral stage: ``spectral.top_k_eigs`` runs
+once on the draw's adjacency, and the resulting ``SpectralPair`` is handed
+to each method's ``estimators.estimate`` call, so ``scd`` and ``dfsp`` do
+not each repeat the eigensolve.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from scipy.stats import spearmanr
 from . import estimators as _estimators
 from . import metrics as _metrics
 from . import model as _model
+from . import spectral as _spectral
 from .corners import CornerFindingError
 
 DEFAULT_REPLICATES = 50
@@ -139,12 +145,17 @@ def _replicate_seeds(master_seed, tags):
 def run_sweep(cfg, progress=None):
     """Run every (grid point, replicate, method) cell of a sweep.
 
-    Each replicate draws a fresh theta and adjacency. A fit that raises a
-    named estimation or corner error, or a ``LinAlgError``, counts as a
-    failed replicate of its method. Grid points whose worst-case
-    expectation range violates the distribution support, or where a method
-    fails on every replicate, are skipped with a recorded reason instead of
-    clamped; ``progress`` is called for valid points only.
+    Each replicate draws a fresh theta and adjacency and eigensolves it
+    once; every method fits from that one spectral pair. A fit that raises
+    a named estimation or corner error, or a ``LinAlgError``, counts as a
+    failed replicate of its method; an eigensolve that raises
+    ``LinAlgError`` or ``ValueError`` counts as a failed replicate of every
+    method. A method's ``seconds`` is the time to produce its fit from the
+    adjacency: the shared eigensolve's time is charged in full to each
+    method, as when each method solved it itself. Grid points whose
+    worst-case expectation range violates the distribution support, or
+    where a method fails on every replicate, are skipped with a recorded
+    reason instead of clamped; ``progress`` is called for valid points only.
     """
     Pi = cfg.membership()
     P = cfg.block_matrix()
@@ -169,14 +180,20 @@ def run_sweep(cfg, progress=None):
             omega = _model.build_omega(P, Pi, theta)
             A = _model.sample_adjacency(omega, dist, seed=s_adj,
                                         keep_self_loops=cfg.keep_self_loops)
+            t0 = time.perf_counter()
+            try:
+                pair = _spectral.top_k_eigs(A, cfg.K)
+            except (np.linalg.LinAlgError, ValueError):
+                continue
+            spectral_s = time.perf_counter() - t0
             for method in cfg.methods:
                 t0 = time.perf_counter()
                 try:
-                    result = _estimators.estimate(method, A, cfg.K, seed=s_est)
+                    result = _estimators.estimate(method, A, cfg.K, seed=s_est, pair=pair)
                 except (_estimators.EstimationError, CornerFindingError,
                         np.linalg.LinAlgError):
                     continue
-                dt = time.perf_counter() - t0
+                dt = spectral_s + time.perf_counter() - t0
                 report = _metrics.l1_error_rate(result.Pi_hat, Pi)
                 errors[method].append(report.l1_rate)
                 seconds[method].append(dt)
@@ -268,7 +285,8 @@ def setup_config(setup_id):
 
 def run_setup_replicates(setup_id, reps=DEFAULT_REPLICATES, master_seed=0):
     """Fit each method to fresh draws of a set-up; returns per-method error
-    arrays. Draw ``rep`` is seeded by ``master_seed + rep``."""
+    arrays. Draw ``rep`` is seeded by ``master_seed + rep`` and eigensolved
+    once for all methods, as in ``run_sweep``; a failed fit raises."""
     cfg = setup_config(setup_id)
     Pi = cfg.membership()
     theta = _model.make_theta(cfg.n, cfg.rho_grid[0], cfg.theta_rule)
@@ -278,8 +296,9 @@ def run_setup_replicates(setup_id, reps=DEFAULT_REPLICATES, master_seed=0):
     for rep in range(reps):
         s_adj, s_est, _ = _replicate_seeds(master_seed + rep, (setup_id,))
         A = _model.sample_adjacency(omega, dist, seed=s_adj)
+        pair = _spectral.top_k_eigs(A, cfg.K)
         for method in cfg.methods:
-            result = _estimators.estimate(method, A, cfg.K, seed=s_est)
+            result = _estimators.estimate(method, A, cfg.K, seed=s_est, pair=pair)
             errors[method].append(_metrics.l1_error_rate(result.Pi_hat, Pi).l1_rate)
     return {m: np.array(v) for m, v in errors.items()}
 

@@ -52,9 +52,11 @@ def test_simulate_command(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["fit", "--file", "karate.tsv", "--k", "1"], "K must be at least 2"),
     (["scree", "--file", "karate.tsv", "--top", "1"], "at least 2 singular values"),
-], ids=["fit-k1", "scree-top1"])
+    (["fit", "--file", "missing.tsv", "--k", "2"], "No such file or directory"),
+    (["simulate", "--config", "missing.json"], "No such file or directory"),
+], ids=["fit-k1", "scree-top1", "fit-missing-file", "simulate-missing-config"])
 def test_bad_input_exits_2_with_one_line(data_dir, capsys, argv, message):
-    argv = [str(data_dir / a) if a == "karate.tsv" else a for a in argv]
+    argv = [str(data_dir / a) if a.endswith((".tsv", ".json")) else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -7,6 +7,7 @@ from conftest import random_ground_truth
 from spectralmix import model
 from spectralmix.estimators import EstimationError, dfsp, estimate, ideal_scd, scd
 from spectralmix.metrics import l1_error_rate
+from spectralmix.spectral import top_k_eigs
 
 
 def max_row_l1_up_to_permutation(Pi_hat, Pi):
@@ -157,6 +158,18 @@ def test_estimate_dispatch():
     assert estimate("dfsp", A, K, seed=0).method == "dfsp"
     with pytest.raises(ValueError, match="unknown method"):
         estimate("mixedscore", A, K)
+
+
+@pytest.mark.parametrize("method", ["scd", "dfsp"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_pair_gives_the_same_fit(method, seed):
+    omega, Pi, K = random_instance(60 + seed, n=None, K=None)
+    A = model.sample_adjacency(omega, model.EdgeDistribution("normal", 0.5), seed=seed)
+    own = estimate(method, A, K, seed=seed)
+    shared = estimate(method, A, K, seed=seed, pair=top_k_eigs(A, K))
+    assert np.array_equal(shared.Pi_hat, own.Pi_hat)
+    assert np.array_equal(shared.corner_indices, own.corner_indices)
+    assert np.array_equal(shared.Z, own.Z)
 
 
 @pytest.mark.parametrize("fit", [scd, dfsp, ideal_scd])

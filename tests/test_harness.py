@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spectralmix import estimators, harness
+from spectralmix import estimators, harness, spectral
 from spectralmix.harness import (
     ExperimentConfig,
     experiment_config,
@@ -71,7 +71,7 @@ class TestRunSweep:
         assert 0.5 in sweep.valid_grid()
 
     def test_method_failing_everywhere_skips_progress(self, monkeypatch):
-        def always_fails(A, K, seed=0):
+        def always_fails(A, K, seed=0, pair=None):
             raise estimators.EstimationError("corner block is singular")
 
         monkeypatch.setitem(estimators.ESTIMATORS, "dfsp", always_fails)
@@ -88,10 +88,10 @@ class TestRunSweep:
                  for gi in range(len(cfg.rho_grid))}
         real_dfsp = estimators.ESTIMATORS["dfsp"]
 
-        def fails_on_replicate_zero(A, K, seed=0):
+        def fails_on_replicate_zero(A, K, seed=0, pair=None):
             if seed in first:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real_dfsp(A, K, seed=seed)
+            return real_dfsp(A, K, seed=seed, pair=pair)
 
         monkeypatch.setitem(estimators.ESTIMATORS, "dfsp", fails_on_replicate_zero)
         sweep = run_sweep(cfg)
@@ -109,6 +109,42 @@ class TestRunSweep:
                 assert [r["replicate"] for r in got] == reps
                 assert [float(r["error"]) for r in got] == pytest.approx(
                     sweep.table[(method, rho)]["errors"], abs=1e-9)
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
+    def test_shared_eigensolve_failure_fails_every_method(self, monkeypatch, error):
+        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
+        clean = run_sweep(cfg)
+        real_top_k_eigs = spectral.top_k_eigs
+        calls = []
+
+        def fails_on_replicate_zero(M, K):
+            calls.append(None)
+            if len(calls) % cfg.replicates == 1:  # replicate 0 of each grid point
+                raise error("eigensolve failed")
+            return real_top_k_eigs(M, K)
+
+        monkeypatch.setattr(spectral, "top_k_eigs", fails_on_replicate_zero)
+        sweep = run_sweep(cfg)
+        assert sweep.valid_grid() == cfg.rho_grid
+        for method in cfg.methods:
+            for rho in cfg.rho_grid:
+                cell = sweep.table[(method, rho)]
+                assert cell["failures"] == 1 and cell["replicates"] == [1, 2]
+                assert cell["errors"] == clean.table[(method, rho)]["errors"][1:]
+
+    def test_one_eigensolve_per_replicate(self, monkeypatch):
+        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
+        real_top_k_eigs = spectral.top_k_eigs
+        calls = []
+
+        def counted(M, K):
+            calls.append(None)
+            return real_top_k_eigs(M, K)
+
+        monkeypatch.setattr(spectral, "top_k_eigs", counted)
+        sweep = run_sweep(cfg)
+        assert len(cfg.methods) == 2 and sweep.valid_grid() == cfg.rho_grid
+        assert len(calls) == len(cfg.rho_grid) * cfg.replicates
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
