@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -75,7 +75,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text):
+        """Parse ``to_json`` output; a missing or unknown field is a ValueError."""
         raw = json.loads(text)
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        for label, keys in (("missing", required - set(raw)),
+                            ("unknown", set(raw) - {f.name for f in fields(cls)})):
+            if keys:
+                raise ValueError(f"experiment config has {label} field(s): {', '.join(sorted(keys))}")
         raw["mixed_profiles"] = [(tuple(p), int(c)) for p, c in raw["mixed_profiles"]]
         raw["methods"] = tuple(raw.get("methods", ("scd", "dfsp")))
         return cls(**raw)
@@ -287,6 +293,8 @@ def run_setup_replicates(setup_id, reps=DEFAULT_REPLICATES, master_seed=0):
     """Fit each method to fresh draws of a set-up; returns per-method error
     arrays. Draw ``rep`` is seeded by ``master_seed + rep`` and eigensolved
     once for all methods, as in ``run_sweep``; a failed fit raises."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     cfg = setup_config(setup_id)
     Pi = cfg.membership()
     theta = _model.make_theta(cfg.n, cfg.rho_grid[0], cfg.theta_rule)

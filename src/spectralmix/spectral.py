@@ -2,10 +2,10 @@
 
 Magnitude ordering matters here because valid block matrices can carry
 negative entries, so informative eigenvalues may sit at either end of the
-spectrum. Dense inputs up to ``DENSE_LIMIT`` use a full symmetric solve;
-larger ones use one Lanczos call for the largest magnitudes. The Lanczos
-solvers start from a fixed vector, so repeated calls on the same input are
-bitwise equal.
+spectrum. Each eigenpair or scree question is one Lanczos call (ARPACK's
+``eigsh``) from a fixed start vector, so repeated calls are bitwise equal
+unless the Krylov space closes early and the top K holds a repeated
+eigenvalue. Only K >= n - 1 takes a full symmetric solve.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import eigsh, svds
+from scipy.sparse.linalg import eigsh
 
-DENSE_LIMIT = 2000
 ZERO_ROW_TOL = 1e-12
 SYMMETRY_TOL = 1e-8
 
@@ -67,11 +66,11 @@ def _fix_signs(U):
 def top_k_eigs(M, K):
     """The K largest-magnitude eigenpairs of a symmetric real matrix.
 
+    One Lanczos call for K < n - 1, the full symmetric solve otherwise.
     Ties between +x and -x order the positive eigenvalue first, then by
-    original index; both rules exist only to make runs reproducible. They
-    hold in full on the dense route. On the Lanczos route (n above
-    ``DENSE_LIMIT``) ARPACK returns only K eigenpairs, so an exact tie at
-    the K-th magnitude is broken by ARPACK, not by the positive-first rule.
+    original index. That rule holds in full only on the full solve: the
+    Lanczos call returns only K eigenpairs, so ARPACK breaks an exact tie
+    at the K-th magnitude, reproducibly given the fixed start vector.
     Raises on non-finite or asymmetric input; warns when the K-th eigenvalue
     is negligible relative to the first (rank deficiency).
     """
@@ -90,10 +89,10 @@ def top_k_eigs(M, K):
     if not 1 <= K <= n:
         raise ValueError(f"K={K} out of range for n={n}")
 
-    if n <= DENSE_LIMIT or K >= n - 1:
-        vals, vecs = np.linalg.eigh(M)
-    else:
+    if K < n - 1:
         vals, vecs = eigsh(M, k=K, which="LM", v0=_start_vector(n))
+    else:
+        vals, vecs = np.linalg.eigh(M)
     pick = _order_by_magnitude(vals, K)
     lam = vals[pick]
     U = _fix_signs(vecs[:, pick].copy())
@@ -123,13 +122,5 @@ def row_normalize(U):
 
 
 def top_singular_values(M, m):
-    """The m largest singular values, nonincreasing."""
-    M = np.asarray(M, dtype=float)
-    n = min(M.shape)
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} out of range for min dimension {n}")
-    if n <= DENSE_LIMIT or m >= n - 1:
-        sv = np.linalg.svd(M, compute_uv=False)
-    else:
-        sv = np.sort(svds(M, k=m, v0=_start_vector(n), return_singular_vectors=False))[::-1]
-    return sv[:m]
+    """The m largest singular values of a symmetric matrix: ``top_k_eigs`` magnitudes."""
+    return np.abs(top_k_eigs(M, m).eigenvalues)

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spectralmix import harness, model
+
 _SPEC = importlib.util.spec_from_file_location(
     "make_datasets", Path(__file__).resolve().parent.parent / "scripts" / "make_datasets.py")
 make_datasets = importlib.util.module_from_spec(_SPEC)
@@ -54,3 +56,15 @@ def random_ground_truth(rng, n, K, pure_frac_min=0.4, p_low=-0.3, p_high=0.5):
             break
     theta = rng.uniform(0.5, 1.5, size=n)
     return P, Pi, theta
+
+
+def sweep_draw(cfg, rho, rep):
+    """The adjacency and estimator seed ``harness.run_sweep`` uses for
+    replicate ``rep`` at grid point ``rho``."""
+    s_theta, s_adj, s_est = harness._replicate_seeds(cfg.master_seed,
+                                                     (cfg.rho_grid.index(rho), rep))
+    theta = model.make_theta(cfg.n, rho, cfg.theta_rule, seed=s_theta)
+    omega = model.build_omega(cfg.block_matrix(), cfg.membership(), theta)
+    A = model.sample_adjacency(omega, cfg.edge_distribution(), seed=s_adj,
+                               keep_self_loops=cfg.keep_self_loops)
+    return A, s_est

@@ -49,12 +49,26 @@ def test_simulate_command(tmp_path):
     assert "scd" in summary["methods"]
 
 
+def test_simulate_malformed_config_exits_2(tmp_path, capsys):
+    raw = json.loads(harness.experiment_config(1, replicates=1).to_json())
+    del raw["mixed_profiles"]
+    raw["bogus"] = 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing field(s): mixed_profiles" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fit", "--file", "karate.tsv", "--k", "1"], "K must be at least 2"),
     (["scree", "--file", "karate.tsv", "--top", "1"], "at least 2 singular values"),
     (["fit", "--file", "missing.tsv", "--k", "2"], "No such file or directory"),
     (["simulate", "--config", "missing.json"], "No such file or directory"),
-], ids=["fit-k1", "scree-top1", "fit-missing-file", "simulate-missing-config"])
+    (["setup", "--id", "1", "--reps", "0"], "reps must be >= 1"),
+], ids=["fit-k1", "scree-top1", "fit-missing-file", "simulate-missing-config", "setup-reps0"])
 def test_bad_input_exits_2_with_one_line(data_dir, capsys, argv, message):
     argv = [str(data_dir / a) if a.endswith((".tsv", ".json")) else a for a in argv]
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_ground_truth
+from conftest import random_ground_truth, sweep_draw
 from spectralmix import estimators, harness, metrics, model
 from spectralmix.corners import (
     CornerFindingError,
@@ -23,18 +23,6 @@ def ideal_normalized(seed, n=60, K=3, **kwargs):
 
 def pure_rows_of(Pi):
     return {k: set(np.where(np.abs(Pi[:, k] - 1.0) < 1e-12)[0]) for k in range(Pi.shape[1])}
-
-
-def sweep_draw(cfg, rho, rep):
-    """The adjacency and estimator seed ``harness.run_sweep`` uses for
-    replicate ``rep`` at grid point ``rho``."""
-    s_theta, s_adj, s_est = harness._replicate_seeds(cfg.master_seed,
-                                                     (cfg.rho_grid.index(rho), rep))
-    theta = model.make_theta(cfg.n, rho, cfg.theta_rule, seed=s_theta)
-    omega = model.build_omega(cfg.block_matrix(), cfg.membership(), theta)
-    A = model.sample_adjacency(omega, cfg.edge_distribution(), seed=s_adj,
-                               keep_self_loops=cfg.keep_self_loops)
-    return A, s_est
 
 
 class TestOneClassMargin:
@@ -201,12 +189,15 @@ class TestSvmConeCorners:
         assert 5 not in cs.indices
 
     def test_opposite_rows_take_weighted_spa(self):
-        # a sparse poisson draw (experiment 3 at n=80, rho=0.2) where 66 of
-        # 80 rows are degenerate; the 14 usable rows include +e3 and -e3,
-        # so the hull is not pointed
-        cfg = harness.experiment_config(3, n=80, n0=8, replicates=1, master_seed=960329833)
-        A, s_est = sweep_draw(cfg, 0.2, 0)
-        normalized = row_normalize(top_k_eigs(A, 3).U)
+        # 66 of 80 rows are degenerate, as in a sparse noise-floor draw; the
+        # other 12 usable rows lie in the positive orthant, so only the pair
+        # +e3, -e3 keeps the hull from being pointed
+        rng = np.random.default_rng(7)
+        U = np.zeros((80, 3))
+        rows = np.sort(rng.choice(80, size=14, replace=False))
+        U[rows] = np.abs(rng.normal(size=(14, 3))) * rng.uniform(0.05, 0.3, size=(14, 1))
+        U[rows[3]], U[rows[9]] = [0.0, 0.0, 0.2], [0.0, 0.0, -0.1]
+        normalized = row_normalize(U)
         usable = np.setdiff1d(np.arange(80), normalized.degenerate)
         assert usable.size == 14
         Y = normalized.matrix[usable]
@@ -215,7 +206,7 @@ class TestSvmConeCorners:
         lam = err.value.certificate
         assert lam.min() >= 0 and lam.sum() == pytest.approx(1.0)
         assert np.linalg.norm(Y.T @ lam) < 1e-12
-        cs = svm_cone_corners(normalized, 3, seed=s_est)
+        cs = svm_cone_corners(normalized, 3, seed=5)
         weighted = Y * normalized.row_norms[usable, None]
         assert cs.indices.tolist() == sorted(usable[spa_corners(weighted, 3).indices].tolist())
         assert cs.candidates.tolist() == usable.tolist()

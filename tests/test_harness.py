@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,19 @@ class TestExperimentConfigs:
         cfg = experiment_config(4, replicates=3, master_seed=9)
         back = ExperimentConfig.from_json(cfg.to_json())
         assert back == cfg
+
+    @pytest.mark.parametrize("drop, add, message", [
+        (["mixed_profiles"], {}, "missing field(s): mixed_profiles"),
+        (["rho_grid", "n"], {}, "missing field(s): n, rho_grid"),
+        ([], {"bogus": 1, "extra": 2}, "unknown field(s): bogus, extra"),
+    ], ids=["missing", "two-missing", "unknown"])
+    def test_json_names_missing_or_unknown_fields(self, drop, add, message):
+        raw = json.loads(experiment_config(2).to_json())
+        for key in drop:
+            del raw[key]
+        raw.update(add)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_json(json.dumps(raw))
 
     def test_bad_id(self):
         with pytest.raises(ValueError):
