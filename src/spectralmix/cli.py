@@ -58,29 +58,30 @@ def _cmd_setup(args):
     return 0
 
 
+def _load(args):
+    return netio.load_edge_list(args.file, format=args.format, symmetrize=args.symmetrize,
+                                largest_component=args.largest_component,
+                                unweighted=args.unweighted)
+
+
 def _cmd_fit(args):
-    report = netio.fit_network(
-        args.file, args.k, method=args.method, seed=args.seed, format=args.format,
-        labels_path=args.labels, symmetrize=args.symmetrize,
-        largest_component=args.largest_component, unweighted=args.unweighted)
-    summary = report.summary()
-    print(json.dumps(summary, indent=2))
+    network = _load(args)
+    if args.labels is not None:
+        network.labels = netio.load_labels(args.labels, network.ids)
+    report = netio.fit_network(network, args.k, method=args.method, seed=args.seed)
+    print(json.dumps(report.summary(), indent=2))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report.write_csv(out / "memberships.csv")
-        scree = netio.scree_report(report.network.adjacency)
+        scree = netio.scree_report(network.adjacency)
         netio.write_summary(report, out / "summary.json", scree=scree)
         print(f"wrote {out / 'memberships.csv'} and {out / 'summary.json'}")
     return 0
 
 
 def _cmd_scree(args):
-    network = netio.load_edge_list(args.file, format=args.format,
-                                   symmetrize=args.symmetrize,
-                                   largest_component=args.largest_component,
-                                   unweighted=args.unweighted)
-    report = netio.scree_report(network.adjacency, m=args.top)
+    report = netio.scree_report(_load(args).adjacency, m=args.top)
     for k, s in enumerate(report.singular_values, 1):
         print(f"{k:3d}  {s:.6g}")
     print(f"suggested K = {report.suggested_k}")

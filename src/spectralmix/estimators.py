@@ -25,6 +25,7 @@ from . import spectral as _spectral
 
 ZERO_L1_TOL = 1e-12
 COND_LIMIT = 1e12
+DIAG_REL_TOL = 1e-12
 
 
 class EstimationError(RuntimeError):
@@ -66,9 +67,16 @@ def _corner_block_inverse(B, what):
 
 
 def _reconstruct(U, lam, Ustar, corner_idx, clamp):
-    """Z = U B^{-1} sqrt(diag(B Lambda B')) for corner rows B = Ustar[corners]."""
+    """Z = U B^{-1} sqrt(diag(B Lambda B')) for corner rows B = Ustar[corners].
+
+    A diagonal with |d_k| <= DIAG_REL_TOL * sum_j B_kj^2 |lambda_j| is
+    rounding noise around zero (an eigenvalue pair +l, -l weighed equally
+    by a corner row) and is set to zero, so its sign cannot decide the fit;
+    only truly negative diagonals are clamped and counted.
+    """
     B = Ustar[corner_idx]
     d = np.einsum("ij,j,ij->i", B, lam, B)
+    d[np.abs(d) <= DIAG_REL_TOL * np.einsum("ij,j,ij->i", B, np.abs(lam), B)] = 0.0
     clamped = int(np.sum(d < 0))
     if clamp:
         d = np.maximum(d, 0.0)

@@ -96,9 +96,6 @@ class SweepResult:
     table: dict
     invalid: dict = field(default_factory=dict)  # rho -> reason
 
-    def mean_errors(self, method):
-        return np.array([self.table[(method, rho)]["mean"] for rho in self.valid_grid()])
-
     def valid_grid(self):
         return [rho for rho in self.grid if rho not in self.invalid]
 
@@ -222,12 +219,7 @@ def run_sweep(cfg, progress=None):
     return SweepResult(config=cfg, grid=list(cfg.rho_grid), table=table, invalid=invalid)
 
 
-EXPERIMENT_PROFILES = [
-    ((0.1, 0.1, 0.8), None),
-    ((0.1, 0.8, 0.1), None),
-    ((0.8, 0.1, 0.1), None),
-    ((1 / 3, 1 / 3, 1 / 3), None),
-]
+EXPERIMENT_PROFILES = [(0.1, 0.1, 0.8), (0.1, 0.8, 0.1), (0.8, 0.1, 0.1), (1 / 3, 1 / 3, 1 / 3)]
 
 
 def experiment_config(exp_id, n=400, K=3, n0=40, replicates=DEFAULT_REPLICATES,
@@ -253,7 +245,7 @@ def experiment_config(exp_id, n=400, K=3, n0=40, replicates=DEFAULT_REPLICATES,
     else:
         raise ValueError("experiment id must be 1, 2, 3 or 4")
     count = (n - K * n0) // len(EXPERIMENT_PROFILES)
-    profiles = [(prof, count) for prof, _ in EXPERIMENT_PROFILES]
+    profiles = [(prof, count) for prof in EXPERIMENT_PROFILES]
     used = K * n0 + count * len(profiles)
     if used != n:
         raise ValueError(f"n={n} does not split into {K}*{n0} pure plus 4 equal mixed groups")

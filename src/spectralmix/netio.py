@@ -6,12 +6,17 @@ subset. Each returns the same shape, ``(edges, nodes)``: edges are
 ``(u, v, weight)`` triples and nodes are the declared ``(id, label,
 value-or-None)`` triples, empty for the whitespace format. The loader
 then names the nodes, checks the weights, and produces a dense symmetric
-matrix with zero diagonal plus the node-id map; ground-truth labels ride
-along when the file's node values (or a sidecar) carry them.
+matrix with zero diagonal plus the node-id map, as a ``LoadedNetwork``;
+its ``labels`` hold ground truth when the file's node values carry it.
+
+A fit is two steps: ``load_edge_list`` reads the file, and
+``fit_network`` fits the loaded network. A caller with a sidecar label
+file sets ``network.labels = load_labels(path, network.ids)`` in between.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -299,26 +304,15 @@ class FitReport:
     miscluster_rate: float | None = None
     label_l1_rate: float | None = None
 
-    def node_rows(self):
-        for i, node_id in enumerate(self.network.ids):
-            yield {
-                "id": node_id,
-                "label": int(self.home_base[i]),
-                "membership": self.result.Pi_hat[i].tolist(),
-                "highly_mixed": bool(self.highly_mixed[i]),
-            }
-
     def write_csv(self, path):
         K = self.result.Pi_hat.shape[1]
-        import csv as _csv
-
         with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["id", "home_base", "highly_mixed"]
                             + [f"pi_{k + 1}" for k in range(K)])
-            for row in self.node_rows():
-                writer.writerow([row["id"], row["label"], int(row["highly_mixed"])]
-                                + [f"{x:.8g}" for x in row["membership"]])
+            for i, node_id in enumerate(self.network.ids):
+                writer.writerow([node_id, int(self.home_base[i]), int(self.highly_mixed[i])]
+                                + [f"{x:.8g}" for x in self.result.Pi_hat[i]])
 
     def summary(self):
         out = {
@@ -335,23 +329,13 @@ class FitReport:
         return out
 
 
-def fit_network(source, K, method="scd", seed=0, format="whitespace_triplets",
-                labels_path=None, symmetrize="strict", largest_component=False,
-                unweighted=False):
-    """Load (if needed) and fit a network, returning per-node labels,
-    memberships, mixedness flags and, when ground truth exists, miscluster
-    statistics. K must be at least 2, the least for which a membership can
-    be highly mixed."""
+def fit_network(network, K, method="scd", seed=0):
+    """Fit a ``LoadedNetwork`` (from ``load_edge_list``), returning per-node
+    labels, memberships, mixedness flags and, when ``network.labels`` holds
+    ground truth with K classes, miscluster statistics. K must be at least
+    2, the least for which a membership can be highly mixed."""
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
-    if isinstance(source, LoadedNetwork):
-        network = source
-    else:
-        network = load_edge_list(source, format=format, symmetrize=symmetrize,
-                                 largest_component=largest_component,
-                                 unweighted=unweighted)
-    if labels_path is not None:
-        network.labels = load_labels(labels_path, network.ids)
     result = _estimators.estimate(method, network.adjacency, K, seed=seed)
     labels_hat = _metrics.home_base(result.Pi_hat)
     mixed = _metrics.highly_mixed(result.Pi_hat)

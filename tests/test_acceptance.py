@@ -77,8 +77,9 @@ class TestCriterion2NoiselessEquivalence:
 class TestCriterion3Karate:
     def test_zero_misclusters(self, data_dir):
         t0 = time.time()
-        fit = netio.fit_network(data_dir / "karate.tsv", 2, method="scd", seed=0,
-                                labels_path=data_dir / "karate_labels.tsv")
+        network = netio.load_edge_list(data_dir / "karate.tsv")
+        network.labels = netio.load_labels(data_dir / "karate_labels.tsv", network.ids)
+        fit = netio.fit_network(network, 2, method="scd", seed=0)
         dt = time.time() - t0
         ok = fit.miscluster_count == 0 and dt < 1.0
         report(3, ok, f"karate misclusters {fit.miscluster_count} in {dt:.2f}s")

@@ -68,7 +68,10 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys):
     (["fit", "--file", "missing.tsv", "--k", "2"], "No such file or directory"),
     (["simulate", "--config", "missing.json"], "No such file or directory"),
     (["setup", "--id", "1", "--reps", "0"], "reps must be >= 1"),
-], ids=["fit-k1", "scree-top1", "fit-missing-file", "simulate-missing-config", "setup-reps0"])
+    (["fit", "--file", "lesmis.tsv", "--k", "2", "--labels", "karate_labels.tsv"],
+     "missing labels for 77 nodes"),
+], ids=["fit-k1", "scree-top1", "fit-missing-file", "simulate-missing-config", "setup-reps0",
+        "fit-labels-missing-nodes"])
 def test_bad_input_exits_2_with_one_line(data_dir, capsys, argv, message):
     argv = [str(data_dir / a) if a.endswith((".tsv", ".json")) else a for a in argv]
     with pytest.raises(SystemExit) as exc:

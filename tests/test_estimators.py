@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_ground_truth
-from spectralmix import model
+from conftest import random_ground_truth, sweep_draw
+from spectralmix import harness, model
 from spectralmix.estimators import EstimationError, dfsp, estimate, ideal_scd, scd
 from spectralmix.metrics import l1_error_rate
-from spectralmix.spectral import top_k_eigs
+from spectralmix.spectral import SpectralPair, top_k_eigs
 
 
 def max_row_l1_up_to_permutation(Pi_hat, Pi):
@@ -170,6 +170,25 @@ def test_shared_pair_gives_the_same_fit(method, seed):
     assert np.array_equal(shared.Pi_hat, own.Pi_hat)
     assert np.array_equal(shared.corner_indices, own.corner_indices)
     assert np.array_equal(shared.Z, own.Z)
+
+
+def test_noise_floor_diagonal_does_not_decide_the_fit():
+    # experiment 2, rho=0.1, replicate 13 at master seed 11: the top 3 holds
+    # an eigenvalue pair +l, -l, and a corner row weighs both equally, so its
+    # corner-spectrum diagonal is zero up to rounding. The Lanczos and the
+    # full-solve eigenvectors agree to about 1e-15; the fits must agree too.
+    cfg = harness.experiment_config(2, replicates=50, master_seed=11)
+    A, seed = sweep_draw(cfg, 0.1, 13)
+    lanczos = top_k_eigs(A, 3)
+    with pytest.warns(RuntimeWarning, match="rank"):
+        full = top_k_eigs(A, A.shape[0])
+    full = SpectralPair(U=full.U[:, :3], eigenvalues=full.eigenvalues[:3])
+    assert np.allclose(lanczos.U, full.U, atol=1e-12)
+    a = scd(A, 3, seed=seed, pair=lanczos)
+    b = scd(A, 3, seed=seed, pair=full)
+    assert np.array_equal(a.corner_indices, b.corner_indices)
+    assert a.clamped_diag_count == b.clamped_diag_count
+    assert np.allclose(a.Pi_hat, b.Pi_hat, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("fit", [scd, dfsp, ideal_scd])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectralmix import estimators
 from spectralmix.netio import (
     FORMATS,
     ParseError,
@@ -235,9 +236,10 @@ class TestRoundTrip:
         labels_renamed.write_text("\n".join(
             f"node_{line.split()[0]} {line.split()[1]}"
             for line in (data_dir / "karate_labels.tsv").read_text().strip().splitlines()))
-        a = fit_network(data_dir / "karate.tsv", 2, seed=0,
-                        labels_path=data_dir / "karate_labels.tsv")
-        b = fit_network(renamed, 2, seed=0, labels_path=labels_renamed)
+        a, b = load_edge_list(data_dir / "karate.tsv"), load_edge_list(renamed)
+        a.labels = load_labels(data_dir / "karate_labels.tsv", a.ids)
+        b.labels = load_labels(labels_renamed, b.ids)
+        a, b = fit_network(a, 2, seed=0), fit_network(b, 2, seed=0)
         assert a.miscluster_count == b.miscluster_count
         assert a.label_l1_rate == pytest.approx(b.label_l1_rate, abs=1e-12)
 
@@ -267,27 +269,31 @@ class TestScree:
 
 class TestFitNetwork:
     def test_karate_fit_surface(self, data_dir):
-        report = fit_network(data_dir / "karate.tsv", 2, method="scd", seed=0,
-                             labels_path=data_dir / "karate_labels.tsv")
+        network = load_edge_list(data_dir / "karate.tsv")
+        network.labels = load_labels(data_dir / "karate_labels.tsv", network.ids)
+        report = fit_network(network, 2, method="scd", seed=0)
+        assert report.network is network
         assert report.network.n == 34
         assert report.home_base.shape == (34,)
         assert set(report.home_base.tolist()) <= {1, 2}
         assert report.miscluster_count is not None
-        rows = list(report.node_rows())
-        assert len(rows) == 34
-        assert all(len(r["membership"]) == 2 for r in rows)
+        assert report.result.Pi_hat.shape == (34, 2)
 
     def test_csv_output(self, tmp_path, data_dir):
-        report = fit_network(data_dir / "lesmis.tsv", 3, method="scd", seed=0)
+        report = fit_network(load_edge_list(data_dir / "lesmis.tsv"), 3, method="scd", seed=0)
         out = tmp_path / "lesmis.csv"
         report.write_csv(out)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 78  # header + 77 nodes
         assert lines[0].startswith("id,home_base,highly_mixed,pi_1")
 
-    def test_k_below_two_rejected_before_loading(self, tmp_path):
+    def test_k_below_two_rejected_before_fitting(self, data_dir, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("estimator called")
+
+        monkeypatch.setattr(estimators, "estimate", no_fit)
         with pytest.raises(ValueError, match="K must be at least 2"):
-            fit_network(tmp_path / "absent.tsv", 1)
+            fit_network(load_edge_list(data_dir / "karate.tsv"), 1)
 
     def test_labels_sidecar_missing_node(self, tmp_path):
         net = tmp_path / "n.tsv"
@@ -295,4 +301,4 @@ class TestFitNetwork:
         labels = tmp_path / "labels.tsv"
         labels.write_text("a 1\nb 2\n")
         with pytest.raises(ParseError, match="missing labels"):
-            fit_network(net, 2, labels_path=labels)
+            load_labels(labels, load_edge_list(net).ids)
