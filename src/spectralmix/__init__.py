@@ -8,7 +8,6 @@ formats.
 """
 
 from .corners import (
-    CornerFindingError,
     CornerSet,
     MarginSolution,
     one_class_margin,
@@ -42,7 +41,7 @@ from .spectral import NormalizedRows, SpectralPair, row_normalize, top_k_eigs, t
 __version__ = "0.1.0"
 
 __all__ = [
-    "CornerFindingError", "CornerSet", "MarginSolution", "one_class_margin",
+    "CornerSet", "MarginSolution", "one_class_margin",
     "spa_corners", "spherical_kmeans", "svm_cone_corners",
     "EstimationError", "EstimationResult", "dfsp", "ideal_scd", "scd",
     "ExperimentConfig", "SweepResult", "experiment_config",

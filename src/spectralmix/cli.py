@@ -133,7 +133,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # bad input (ParseError included), unreadable file
+    except (ValueError, OSError, estimators.EstimationError) as exc:  # bad input, bad file, no fit
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

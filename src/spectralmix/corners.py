@@ -33,8 +33,9 @@ DELTA_CAP = 0.5
 FLOOR_FRAC = 0.25
 
 
-class CornerFindingError(RuntimeError):
-    """Corner selection failed; carries a certificate when one exists."""
+class EstimationError(RuntimeError):
+    """No valid estimate for this input: the one fit-failure type, raised
+    here and in ``estimators``; carries a certificate when one exists."""
 
     def __init__(self, message, certificate=None):
         super().__init__(message)
@@ -74,7 +75,7 @@ def one_class_margin(points):
     Problems*, ch. 23): u >= 0 minimizing ||E u - e_{K+1}|| with
     E = [Y'; 1']. A residual of at most ``HULL_TOL`` puts the origin in the
     rows' convex hull, so the hull is not pointed and the problem has no
-    solution: that raises a ``CornerFindingError`` whose certificate is the
+    solution: that raises an ``EstimationError`` whose certificate is the
     convex weights u / sum(u), with Y'u ~ 0. Otherwise, with residual r,
     w = -r[:K] / r[K] and ||w||^2 = 1 / ||r||^2 - 1.
     """
@@ -88,7 +89,7 @@ def one_class_margin(points):
     u, rnorm = nnls(E, f)
     if rnorm <= HULL_TOL:
         lam = u / u.sum()
-        raise CornerFindingError(
+        raise EstimationError(
             "no hyperplane through the origin separates the rows "
             f"(convex weights with combination norm {np.linalg.norm(Y.T @ lam):.3g} "
             "certify a non-pointed hull)",
@@ -155,7 +156,7 @@ def svm_cone_corners(normalized, K, seed):
     that many lowest-margin rows. One spherical k-means pass splits them
     into K clusters, each represented by its member closest to the center
     (lowest index among ties); candidates that collapse into fewer than K
-    clusters raise ``CornerFindingError``. The corner block's condition is
+    clusters raise ``EstimationError``. The corner block's condition is
     checked only by the estimator that inverts it. Degenerate rows are
     never candidates.
 
@@ -169,15 +170,15 @@ def svm_cone_corners(normalized, K, seed):
     X, row_norms = normalized.matrix, normalized.row_norms
     n = X.shape[0]
     if n < K:
-        raise CornerFindingError(f"cannot find {K} corners among {n} rows")
+        raise EstimationError(f"cannot find {K} corners among {n} rows")
     usable = np.setdiff1d(np.arange(n), np.asarray(normalized.degenerate, dtype=int))
     if usable.size < K:
-        raise CornerFindingError(
+        raise EstimationError(
             f"only {usable.size} non-degenerate rows but K={K}; try a smaller K")
     margins = np.full(n, np.inf)
     try:
         margins_u = one_class_margin(X[usable]).row_margins
-    except CornerFindingError:
+    except EstimationError:  # one_class_margin raises it only on a non-pointed hull
         margins[usable] = 0.0
         weighted = X[usable] * row_norms[usable, None]
         return CornerSet(indices=np.sort(usable[spa_corners(weighted, K).indices]),
@@ -197,7 +198,7 @@ def svm_cone_corners(normalized, K, seed):
 
     labels, centers = spherical_kmeans(X[cand], K, seed)
     if np.unique(labels).size < K:
-        raise CornerFindingError(
+        raise EstimationError(
             f"candidate rows collapse into fewer than {K} clusters; try a smaller K")
     corners = []
     for k in range(K):
@@ -220,7 +221,7 @@ def spa_corners(U, K):
     for _ in range(K):
         norms = np.linalg.norm(R, axis=1)
         if np.all(norms < 1e-12):
-            raise CornerFindingError(
+            raise EstimationError(
                 f"rows are rank deficient: only {len(picked)} independent directions found "
                 f"before {K} picks")
         j = int(np.argmax(norms))

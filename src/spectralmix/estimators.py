@@ -5,7 +5,8 @@ All three share the same skeleton: leading-K eigenpairs, corner rows, then
 a reconstruction that maps each node's eigenvector row onto the simplex
 spanned by the corners. The empirical estimator additionally clamps
 negatives and routes all-zero rows to the uniform vector so isolated
-nodes never abort a fit.
+nodes never abort a fit; a fit that cannot give an estimate raises
+``EstimationError``, the one fit-failure type (defined in ``corners``).
 
 The first stage, the leading-K eigendecomposition of ``A``, is the same
 for ``scd`` and ``dfsp``. Both take it as an optional ``pair``: a sweep
@@ -22,14 +23,11 @@ import numpy as np
 
 from . import corners as _corners
 from . import spectral as _spectral
+from .corners import EstimationError
 
 ZERO_L1_TOL = 1e-12
 COND_LIMIT = 1e12
 DIAG_REL_TOL = 1e-12
-
-
-class EstimationError(RuntimeError):
-    pass
 
 
 @dataclass

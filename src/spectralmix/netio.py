@@ -289,7 +289,7 @@ def scree_report(A, m=15):
     if m < 2:
         raise ValueError(f"a scree report needs at least 2 singular values, got m={m}")
     sv = _spectral.top_singular_values(A, m)
-    tiny = 1e-12 * max(sv[0], 1e-300)
+    tiny = 1e-12 * sv[0]
     ratios = np.where(sv[1:] > tiny, sv[:-1] / np.maximum(sv[1:], tiny), np.inf)
     return ScreeReport(singular_values=sv, suggested_k=int(np.argmax(ratios)) + 1)
 
@@ -326,14 +326,18 @@ class FitReport:
             out["miscluster_count"] = self.miscluster_count
             out["miscluster_rate"] = self.miscluster_rate
             out["label_l1_rate"] = self.label_l1_rate
+        elif self.network.labels is not None:
+            K = self.result.Pi_hat.shape[1]
+            out["unscored"] = f"labels have {self.network.labels.max()} classes, K={K}"
         return out
 
 
 def fit_network(network, K, method="scd", seed=0):
     """Fit a ``LoadedNetwork`` (from ``load_edge_list``), returning per-node
     labels, memberships, mixedness flags and, when ``network.labels`` holds
-    ground truth with K classes, miscluster statistics. K must be at least
-    2, the least for which a membership can be highly mixed."""
+    ground truth with K classes, miscluster statistics (else the summary's
+    ``unscored`` says why not). K must be at least 2, the least for which
+    a membership can be highly mixed."""
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
     result = _estimators.estimate(method, network.adjacency, K, seed=seed)

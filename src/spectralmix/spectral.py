@@ -71,19 +71,21 @@ def top_k_eigs(M, K):
     original index. That rule holds in full only on the full solve: the
     Lanczos call returns only K eigenpairs, so ARPACK breaks an exact tie
     at the K-th magnitude, reproducibly given the fixed start vector.
-    Raises on non-finite or asymmetric input; warns when the K-th eigenvalue
-    is negligible relative to the first (rank deficiency).
+    Raises on non-finite, all-zero or asymmetric input; warns when the K-th
+    eigenvalue is negligible relative to the first (rank deficiency).
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.ndim != 2 or M.shape[1] != n:
         raise ValueError("matrix must be square")
-    scale = np.max(np.abs(M)) or 1.0
+    scale = np.max(np.abs(M))
     if not np.isfinite(scale):
         bad = np.argwhere(~np.isfinite(M))
         i, j = bad[0]
         raise ValueError(f"matrix has {len(bad)} non-finite entries, "
                          f"the first ({i},{j}) = {M[i, j]}")
+    if scale == 0:
+        raise ValueError(f"matrix is all zero ({n}x{n}): its leading eigenvectors are undefined")
     if np.max(np.abs(M - M.T)) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     if not 1 <= K <= n:
@@ -96,7 +98,7 @@ def top_k_eigs(M, K):
     pick = _order_by_magnitude(vals, K)
     lam = vals[pick]
     U = _fix_signs(vecs[:, pick].copy())
-    if abs(lam[-1]) < 1e-12 * max(abs(lam[0]), 1e-300):
+    if abs(lam[-1]) < 1e-12 * abs(lam[0]):
         warnings.warn(
             f"eigenvalue {K} is negligible ({lam[-1]:.3g} vs {lam[0]:.3g}); "
             "input may have rank below K",

@@ -62,6 +62,14 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "missing field(s): mixed_profiles" in err
 
 
+# small edge files for the failure cases below: a 6-node graph whose K=4
+# corner block is singular, and a graph whose every weight is zero
+SMALL_FILES = {
+    "six_nodes.tsv": "v0 v3\nv0 v4\nv0 v5\nv1 v2\nv1 v4\nv1 v5\nv2 v4\nv3 v5\n",
+    "zero_weights.tsv": "a b 0\nc d 0\ne f 0\n",
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fit", "--file", "karate.tsv", "--k", "1"], "K must be at least 2"),
     (["scree", "--file", "karate.tsv", "--top", "1"], "at least 2 singular values"),
@@ -70,10 +78,17 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys):
     (["setup", "--id", "1", "--reps", "0"], "reps must be >= 1"),
     (["fit", "--file", "lesmis.tsv", "--k", "2", "--labels", "karate_labels.tsv"],
      "missing labels for 77 nodes"),
+    (["fit", "--file", "six_nodes.tsv", "--k", "4"], "corner block is numerically singular"),
+    (["fit", "--file", "zero_weights.tsv", "--k", "2"], "matrix is all zero"),
+    (["scree", "--file", "zero_weights.tsv"], "matrix is all zero"),
 ], ids=["fit-k1", "scree-top1", "fit-missing-file", "simulate-missing-config", "setup-reps0",
-        "fit-labels-missing-nodes"])
-def test_bad_input_exits_2_with_one_line(data_dir, capsys, argv, message):
-    argv = [str(data_dir / a) if a.endswith((".tsv", ".json")) else a for a in argv]
+        "fit-labels-missing-nodes", "fit-singular-corner-block", "fit-zero-weights",
+        "scree-zero-weights"])
+def test_bad_input_exits_2_with_one_line(data_dir, tmp_path, capsys, argv, message):
+    for name, text in SMALL_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str((tmp_path if a in SMALL_FILES else data_dir) / a)
+            if a.endswith((".tsv", ".json")) else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_ground_truth, sweep_draw
 from spectralmix import estimators, harness, metrics, model
 from spectralmix.corners import (
-    CornerFindingError,
+    EstimationError,
     one_class_margin,
     spa_corners,
     spherical_kmeans,
@@ -67,7 +67,7 @@ class TestOneClassMargin:
 
     def test_infeasible_raises_with_certificate(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        with pytest.raises(CornerFindingError) as err:
+        with pytest.raises(EstimationError) as err:
             one_class_margin(pts)
         lam = err.value.certificate
         assert lam is not None
@@ -201,7 +201,7 @@ class TestSvmConeCorners:
         usable = np.setdiff1d(np.arange(80), normalized.degenerate)
         assert usable.size == 14
         Y = normalized.matrix[usable]
-        with pytest.raises(CornerFindingError) as err:
+        with pytest.raises(EstimationError) as err:
             one_class_margin(Y)
         lam = err.value.certificate
         assert lam.min() >= 0 and lam.sum() == pytest.approx(1.0)
@@ -231,7 +231,7 @@ class TestSvmConeCorners:
 
     def test_collapse_recommends_smaller_k(self):
         X = np.tile(np.array([[1.0, 0.0]]), (6, 1))
-        with pytest.raises(CornerFindingError, match="smaller K"):
+        with pytest.raises(EstimationError, match="smaller K"):
             svm_cone_corners(row_normalize(X), 2, seed=0)
 
 
@@ -308,5 +308,5 @@ class TestSpaCorners:
 
     def test_rank_deficiency_error(self):
         U = np.vstack([np.ones((4, 2))])
-        with pytest.raises(CornerFindingError, match="rank"):
+        with pytest.raises(EstimationError, match="rank"):
             spa_corners(U, 2)

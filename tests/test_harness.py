@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from spectralmix import estimators, harness, spectral
+from spectralmix import estimators, harness, model, spectral
 from spectralmix.harness import (
     ExperimentConfig,
     experiment_config,
@@ -125,6 +125,26 @@ class TestRunSweep:
             return real_top_k_eigs(M, K)
 
         monkeypatch.setattr(spectral, "top_k_eigs", fails_on_replicate_zero)
+        sweep = run_sweep(cfg)
+        assert sweep.valid_grid() == cfg.rho_grid
+        for method in cfg.methods:
+            for rho in cfg.rho_grid:
+                cell = sweep.table[(method, rho)]
+                assert cell["failures"] == 1 and cell["replicates"] == [1, 2]
+                assert cell["errors"] == clean.table[(method, rho)]["errors"][1:]
+
+    def test_all_zero_draw_fails_every_method(self, monkeypatch):
+        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
+        clean = run_sweep(cfg)
+        real_sample_adjacency = model.sample_adjacency
+        calls = []
+
+        def zero_on_replicate_zero(omega, dist, **kwargs):
+            calls.append(None)
+            A = real_sample_adjacency(omega, dist, **kwargs)
+            return np.zeros_like(A) if len(calls) % cfg.replicates == 1 else A
+
+        monkeypatch.setattr(model, "sample_adjacency", zero_on_replicate_zero)
         sweep = run_sweep(cfg)
         assert sweep.valid_grid() == cfg.rho_grid
         for method in cfg.methods:

@@ -279,6 +279,15 @@ class TestFitNetwork:
         assert report.miscluster_count is not None
         assert report.result.Pi_hat.shape == (34, 2)
 
+    def test_labels_with_other_class_count_say_why_unscored(self, data_dir):
+        network = load_edge_list(data_dir / "karate.tsv")
+        network.labels = load_labels(data_dir / "karate_labels.tsv", network.ids)
+        summary = fit_network(network, 3, method="scd", seed=0).summary()
+        assert summary["unscored"] == "labels have 2 classes, K=3"
+        assert "miscluster_count" not in summary and "label_l1_rate" not in summary
+        scored = fit_network(network, 2, method="scd", seed=0).summary()
+        assert "unscored" not in scored and scored["miscluster_count"] == 0
+
     def test_csv_output(self, tmp_path, data_dir):
         report = fit_network(load_edge_list(data_dir / "lesmis.tsv"), 3, method="scd", seed=0)
         out = tmp_path / "lesmis.csv"

@@ -101,6 +101,11 @@ class TestTopKEigs:
         with pytest.warns(RuntimeWarning, match="rank"):
             top_k_eigs(M, 2)
 
+    @pytest.mark.parametrize("K", [2, 4], ids=["lanczos", "full-solve"])
+    def test_all_zero_rejected(self, K):
+        with pytest.raises(ValueError, match="all zero"):
+            top_k_eigs(np.zeros((4, 4)), K)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             top_k_eigs(np.eye(3), 4)
