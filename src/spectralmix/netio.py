@@ -5,9 +5,11 @@ whitespace edge triplets, a minimal GML subset, and a minimal Pajek
 subset. Each returns the same shape, ``(edges, nodes)``: edges are
 ``(u, v, weight)`` triples and nodes are the declared ``(id, label,
 value-or-None)`` triples, empty for the whitespace format. The loader
-then names the nodes, checks the weights, and produces a dense symmetric
-matrix with zero diagonal plus the node-id map, as a ``LoadedNetwork``;
-its ``labels`` hold ground truth when the file's node values carry it.
+then names the nodes, checks the weights, and produces a sparse (CSR)
+symmetric matrix with zero diagonal and no stored zeros plus the node-id
+map, as a ``LoadedNetwork``; its ``labels`` hold ground truth when the
+file's node values carry it. The adjacency stays sparse through the fit's
+and the scree's eigensolves, so their cost follows the edge count.
 
 A fit is two steps: ``load_edge_list`` reads the file, and
 ``fit_network`` fits the loaded network. A caller with a sidecar label
@@ -21,6 +23,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -37,7 +40,7 @@ class ParseError(ValueError):
 
 @dataclass
 class LoadedNetwork:
-    adjacency: np.ndarray
+    adjacency: csr_matrix
     ids: list
     labels: np.ndarray | None = None
     dropped_self_loops: int = 0
@@ -71,7 +74,7 @@ _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
 
 
 def _edges_gml(path):
-    text = open(path).read()
+    text = Path(path).read_text()
     tokens = _GML_TOKEN.findall(text)
     edges = []
     nodes = []
@@ -161,7 +164,8 @@ SYMMETRIZE = ("strict", "or")
 
 def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
                    largest_component=False, unweighted=False):
-    """Parse an edge file into a dense symmetric zero-diagonal matrix.
+    """Parse an edge file into a symmetric zero-diagonal CSR matrix that
+    stores no zeros (a zero weight is no edge).
 
     ``symmetrize="strict"`` merges reciprocal duplicates only when their
     weights agree (conflicts are errors); ``"or"`` treats the file as a
@@ -205,7 +209,6 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     index = {x: i for i, x in enumerate(ids)}
 
     n = len(ids)
-    A = np.zeros((n, n))
     have = {}
     self_loops = 0
     for u, v, w in edges:
@@ -213,12 +216,12 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
         if i == j:
             self_loops += 1
             continue
+        key = (min(i, j), max(i, j))
         if symmetrize == "or":
-            A[i, j] = A[j, i] = 1.0
+            have[key] = (1.0, None)
             continue
         if unweighted:
             w = 1.0
-        key = (min(i, j), max(i, j))
         if key in have:
             prev, prev_directed = have[key]
             if (i, j) == prev_directed:
@@ -228,7 +231,7 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
                     f"{path}: conflicting weights {prev} vs {w} for edge {u!r}-{v!r}")
             continue
         have[key] = (w, (i, j))
-        A[i, j] = A[j, i] = w
+    A = _symmetric_csr(n, have)
 
     labels = None
     raw = [values.get(x) for x in ids]
@@ -239,16 +242,28 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     if largest_component:
         # ties keep the component with the lowest node index: csgraph
         # labels components in order of their first node
-        _, comp = connected_components(csr_matrix(A), directed=False)
+        _, comp = connected_components(A, directed=False)
         keep = np.flatnonzero(comp == np.argmax(np.bincount(comp)))
         removed = n - keep.size
-        A = A[np.ix_(keep, keep)]
+        A = A[keep][:, keep]
         ids = [ids[i] for i in keep]
         if labels is not None:
             labels = labels[keep]
 
     return LoadedNetwork(adjacency=A, ids=ids, labels=labels,
                          dropped_self_loops=self_loops, removed_nodes=removed)
+
+
+def _symmetric_csr(n, weights):
+    """The n x n symmetric CSR matrix with ``weights[(i, j)][0]`` at (i, j)
+    and (j, i) for each pair i < j. Zero weights are not stored: the
+    component search would count a stored zero as an edge."""
+    kept = [(key, w) for key, (w, _) in weights.items() if w != 0]
+    ij = np.array([key for key, _ in kept], dtype=np.int64).reshape(-1, 2)
+    w = np.array([w for _, w in kept], dtype=float)
+    rows = np.concatenate([ij[:, 0], ij[:, 1]])
+    cols = np.concatenate([ij[:, 1], ij[:, 0]])
+    return csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
 
 
 def _number_labels(values):
@@ -283,8 +298,7 @@ class ScreeReport:
 
 def scree_report(A, m=15):
     """Top-m singular values plus the K suggested by the largest relative
-    consecutive drop sigma_k / sigma_{k+1}."""
-    A = np.asarray(A, dtype=float)
+    consecutive drop sigma_k / sigma_{k+1}. ``A`` is dense or scipy.sparse."""
     m = min(m, A.shape[0])
     if m < 2:
         raise ValueError(f"a scree report needs at least 2 singular values, got m={m}")

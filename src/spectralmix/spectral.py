@@ -5,7 +5,11 @@ negative entries, so informative eigenvalues may sit at either end of the
 spectrum. Each eigenpair or scree question is one Lanczos call (ARPACK's
 ``eigsh``) from a fixed start vector, so repeated calls are bitwise equal
 unless the Krylov space closes early and the top K holds a repeated
-eigenvalue. Only K >= n - 1 takes a full symmetric solve.
+eigenvalue. Only K >= n - 1 takes a full symmetric solve. Input is a
+dense array or a scipy.sparse matrix; the type picks the route. A sparse
+matrix stays sparse through the checks and the Lanczos call, so a loaded
+network costs what its edges cost, and is made dense only for the full
+solve.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import eigsh
 
 ZERO_ROW_TOL = 1e-12
@@ -63,6 +68,17 @@ def _fix_signs(U):
     return U
 
 
+def _non_finite(M):
+    """How many entries of ``M`` are not finite, and the first in row-major
+    order; a canonical CSR matrix stores its entries in that order."""
+    if issparse(M):
+        C = M.tocoo()
+        bad = np.flatnonzero(~np.isfinite(C.data))
+        return bad.size, (C.row[bad[0]], C.col[bad[0]])
+    bad = np.argwhere(~np.isfinite(M))
+    return len(bad), tuple(bad[0])
+
+
 def top_k_eigs(M, K):
     """The K largest-magnitude eigenpairs of a symmetric real matrix.
 
@@ -73,20 +89,28 @@ def top_k_eigs(M, K):
     at the K-th magnitude, reproducibly given the fixed start vector.
     Raises on non-finite, all-zero or asymmetric input; warns when the K-th
     eigenvalue is negligible relative to the first (rank deficiency).
+    ``M`` is a dense array or a scipy.sparse matrix, which is not densified
+    below K = n - 1; both take the same checks with the same messages.
     """
-    M = np.asarray(M, dtype=float)
+    sparse = issparse(M)
+    if sparse:
+        # a canonical copy: duplicates summed, so the stored values are the entries
+        M = csr_matrix(M, dtype=float, copy=True)
+        M.sum_duplicates()
+    else:
+        M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.ndim != 2 or M.shape[1] != n:
         raise ValueError("matrix must be square")
-    scale = np.max(np.abs(M))
+    entries = M.data if sparse else M
+    scale = np.max(np.abs(entries), initial=0.0)
     if not np.isfinite(scale):
-        bad = np.argwhere(~np.isfinite(M))
-        i, j = bad[0]
-        raise ValueError(f"matrix has {len(bad)} non-finite entries, "
+        count, (i, j) = _non_finite(M)
+        raise ValueError(f"matrix has {count} non-finite entries, "
                          f"the first ({i},{j}) = {M[i, j]}")
     if scale == 0:
         raise ValueError(f"matrix is all zero ({n}x{n}): its leading eigenvectors are undefined")
-    if np.max(np.abs(M - M.T)) > SYMMETRY_TOL * scale:
+    if abs(M - M.T).max() > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     if not 1 <= K <= n:
         raise ValueError(f"K={K} out of range for n={n}")
@@ -94,7 +118,7 @@ def top_k_eigs(M, K):
     if K < n - 1:
         vals, vecs = eigsh(M, k=K, which="LM", v0=_start_vector(n))
     else:
-        vals, vecs = np.linalg.eigh(M)
+        vals, vecs = np.linalg.eigh(M.toarray() if sparse else M)
     pick = _order_by_magnitude(vals, K)
     lam = vals[pick]
     U = _fix_signs(vecs[:, pick].copy())
@@ -105,7 +129,7 @@ def top_k_eigs(M, K):
             RuntimeWarning,
             stacklevel=2,
         )
-    normM = np.linalg.norm(M)
+    normM = np.linalg.norm(entries)
     residual = float(np.linalg.norm(M @ U - U * lam) / normM) if normM > 0 else 0.0
     return SpectralPair(U=U, eigenvalues=lam, residual=residual)
 

@@ -18,9 +18,9 @@ def test_fit_command_writes_outputs(data_dir, tmp_path, capsys):
                "--method", "scd", "--labels", str(data_dir / "karate_labels.tsv"),
                "--out", str(tmp_path)])
     assert rc == 0
-    rows = list(csv.DictReader(open(tmp_path / "memberships.csv")))
+    rows = list(csv.DictReader((tmp_path / "memberships.csv").read_text().splitlines()))
     assert len(rows) == 34
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["n"] == 34
     assert "miscluster_count" in summary
     assert summary["scree"]["suggested_k"] == 2
@@ -29,7 +29,7 @@ def test_fit_command_writes_outputs(data_dir, tmp_path, capsys):
 def test_setup_command(tmp_path, capsys):
     rc = main(["setup", "--id", "1", "--reps", "2", "--out", str(tmp_path)])
     assert rc == 0
-    payload = json.load(open(tmp_path / "setup1.json"))
+    payload = json.loads((tmp_path / "setup1.json").read_text())
     assert set(payload) == {"scd", "dfsp"}
     assert len(payload["scd"]["errors"]) == 2
 
@@ -43,9 +43,9 @@ def test_simulate_command(tmp_path):
     cfg_path.write_text(cfg.to_json())
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert rc == 0
-    rows = list(csv.DictReader(open(tmp_path / "run" / "sweep.csv")))
+    rows = list(csv.DictReader((tmp_path / "run" / "sweep.csv").read_text().splitlines()))
     assert len(rows) == 4  # 2 methods x 1 grid point x 2 replicates
-    summary = json.load(open(tmp_path / "run" / "summary.json"))
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert "scd" in summary["methods"]
 
 

@@ -179,13 +179,13 @@ class TestRunSweep:
         sweep = run_sweep(tiny_config(distribution={"kind": "normal", "variance": 0.2}))
         csv_path = tmp_path / "sweep.csv"
         sweep.write_csv(csv_path)
-        rows = list(csv.DictReader(open(csv_path)))
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
         assert {r["method"] for r in rows} == {"scd", "dfsp"}
         assert len(rows) == 2 * 2 * 2  # methods x grid x replicates
         assert all(float(r["error"]) >= 0 for r in rows)
         json_path = tmp_path / "summary.json"
         sweep.write_summary(json_path)
-        summary = json.load(open(json_path))
+        summary = json.loads(json_path.read_text())
         assert set(summary["methods"]) == {"scd", "dfsp"}
 
 

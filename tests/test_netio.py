@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from spectralmix import estimators
 from spectralmix.netio import (
@@ -20,7 +21,7 @@ class TestWhitespaceTriplets:
         assert net.n == 2
         assert net.adjacency[0, 1] == 1.0
         assert net.adjacency[1, 0] == 1.0
-        assert np.all(np.diag(net.adjacency) == 0)
+        assert np.all(np.diag(net.adjacency.toarray()) == 0)
 
     def test_unweighted_lines_get_weight_one(self, tmp_path):
         path = tmp_path / "unweighted.tsv"
@@ -39,7 +40,7 @@ class TestWhitespaceTriplets:
         path.write_text("a a 3\na b 1\nb b 2\n")
         net = load_edge_list(path)
         assert net.dropped_self_loops == 2
-        assert np.all(np.diag(net.adjacency) == 0)
+        assert np.all(np.diag(net.adjacency.toarray()) == 0)
 
     def test_reciprocal_equal_weights_merge(self, tmp_path):
         path = tmp_path / "recip.tsv"
@@ -68,7 +69,7 @@ class TestWhitespaceTriplets:
         # every weight reads as 1 under "or", negative ones included
         path.write_text("a b -2\nb c 1\nc a -1\n")
         net = load_edge_list(path, symmetrize="or")
-        assert np.array_equal(net.adjacency, np.ones((3, 3)) - np.eye(3))
+        assert np.array_equal(net.adjacency.toarray(), np.ones((3, 3)) - np.eye(3))
 
     def test_parse_failure_reports_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -87,6 +88,19 @@ class TestWhitespaceTriplets:
         path.write_text("a b 1\nb c 2\n")
         with pytest.raises(ValueError, match=r"symmetrize 'bogus'.*'strict', 'or'"):
             load_edge_list(path, symmetrize="bogus")
+
+
+class TestSparseAdjacency:
+    def test_symmetric_csr_without_stored_zeros(self, tmp_path):
+        path = tmp_path / "mixed.tsv"
+        path.write_text("a b 1.5\nb c 0\nc d -2\nd a 1\nd b 0\nc e 3\n")
+        A = load_edge_list(path).adjacency
+        assert issparse(A) and A.format == "csr"
+        assert A.shape == (5, 5)
+        assert np.all(A.data != 0)
+        assert A.nnz == 8  # four nonzero pairs, each stored both ways
+        assert (A != A.T).nnz == 0
+        assert A.diagonal().tolist() == [0.0] * 5
 
 
 class TestGml:
@@ -215,7 +229,7 @@ class TestLargestComponent:
             path.write_text("\n".join(lines) + "\n")
             full = load_edge_list(path)
             net = load_edge_list(path, largest_component=True)
-            keep = largest_component_reference(full.adjacency)
+            keep = largest_component_reference(full.adjacency.toarray())
             assert net.ids == [full.ids[i] for i in keep]
 
     def test_tie_keeps_lowest_index(self, tmp_path):
@@ -223,6 +237,14 @@ class TestLargestComponent:
         path.write_text("c d 1\na b 1\n")
         net = load_edge_list(path, largest_component=True)
         assert net.ids == ["c", "d"]
+
+    def test_zero_weight_link_is_no_edge(self, tmp_path):
+        # the only link between {a, b, c} and {d, e} has weight 0
+        path = tmp_path / "zero_link.tsv"
+        path.write_text("a b 1\nb c 2\nc a 1\nc d 0\nd e 1\n")
+        net = load_edge_list(path, largest_component=True)
+        assert net.ids == ["a", "b", "c"]
+        assert net.removed_nodes == 2
 
 
 class TestRoundTrip:

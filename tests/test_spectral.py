@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from conftest import random_ground_truth, sweep_draw
 from spectralmix import harness, model
+from spectralmix.netio import load_edge_list
 from spectralmix.spectral import (
     NormalizedRows,
     row_normalize,
@@ -109,6 +113,59 @@ class TestTopKEigs:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             top_k_eigs(np.eye(3), 4)
+
+
+def stored_zeros(n):
+    """An n x n CSR matrix whose only stored entries are two zeros."""
+    return csr_matrix(([0.0, 0.0], ([0, 1], [1, 0])), shape=(n, n))
+
+
+class TestSparseInput:
+    """A scipy.sparse matrix takes the dense input's checks and gives its answer."""
+
+    @pytest.mark.parametrize("source,K", [("karate.tsv", 2), ("lesmis.tsv", 3),
+                                          ("bernoulli-draw", 3)])
+    def test_csr_matches_dense(self, data_dir, source, K):
+        if source == "bernoulli-draw":
+            draw, _ = sweep_draw(harness.experiment_config(2, master_seed=11), 1.0, 0)
+            A = csr_matrix(draw)
+        else:
+            A = load_edge_list(data_dir / source).adjacency
+        dense = A.toarray()
+        mags = np.sort(np.abs(np.linalg.eigvalsh(dense)))[::-1]
+        assert mags[K - 1] - mags[K] > 1e-3 * mags[0]  # the K-th magnitude is not tied
+        sparse_pair, dense_pair = top_k_eigs(A, K), top_k_eigs(dense, K)
+        assert np.allclose(sparse_pair.eigenvalues, dense_pair.eigenvalues, rtol=1e-12, atol=0)
+        assert np.allclose(np.abs(sparse_pair.U), np.abs(dense_pair.U), rtol=0, atol=1e-8)
+        assert sparse_pair.residual < 1e-12
+
+    def test_full_solve_route_matches_dense(self):
+        rng = np.random.default_rng(3)
+        M = np.triu(rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.5), 1)
+        M = M + M.T
+        for K in (5, 6):  # K >= n - 1 takes the full symmetric solve
+            sparse_pair, dense_pair = top_k_eigs(csr_matrix(M), K), top_k_eigs(M, K)
+            assert np.array_equal(sparse_pair.eigenvalues, dense_pair.eigenvalues)
+            assert np.array_equal(sparse_pair.U, dense_pair.U)
+
+    BOUNDARY = {
+        "non-finite": (np.array([[0.0, np.nan, 1.0], [np.nan, 0.0, np.inf], [1.0, np.inf, 0.0]]),
+                       1, r"4 non-finite entries, the first \(0,1\) = nan"),
+        "stored-zeros-lanczos": (stored_zeros(4), 2, "all zero"),
+        "stored-zeros-full-solve": (stored_zeros(4), 4, "all zero"),
+        "asymmetric": (np.array([[1.0, 2.0], [0.0, 1.0]]), 1, "not symmetric"),
+        "k-above-n": (np.eye(3), 4, "K=4 out of range"),
+        "k-zero": (np.eye(3), 0, "K=0 out of range"),
+    }
+
+    @pytest.mark.parametrize("case", BOUNDARY)
+    def test_boundary_check_matches_dense(self, case):
+        M, K, named = self.BOUNDARY[case]
+        sparse, dense = (M, M.toarray()) if isinstance(M, csr_matrix) else (csr_matrix(M), M)
+        with pytest.raises(ValueError, match=named) as dense_error:
+            top_k_eigs(dense, K)
+        with pytest.raises(ValueError, match=re.escape(str(dense_error.value)) + "$"):
+            top_k_eigs(sparse, K)
 
 
 class TestRowNormalize:
