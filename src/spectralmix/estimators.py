@@ -39,10 +39,6 @@ class EstimationResult:
     method: str = "scd"
     clamped_diag_count: int = 0
 
-    @property
-    def corner_indices(self):
-        return self.corner_set.indices
-
     def summary(self):
         """Sidecar record: corners and fit diagnostics (the membership table
         itself is written separately as a dense array)."""

@@ -20,7 +20,6 @@ import time
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import estimators as _estimators
 from . import metrics as _metrics
@@ -53,6 +52,10 @@ class ExperimentConfig:
             raise ValueError("rho grid must be nonempty and positive")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        unknown = [m for m in self.methods if m not in _estimators.ESTIMATORS]
+        if unknown:
+            raise ValueError(f"unknown method(s) {', '.join(map(repr, unknown))}; "
+                             f"expected one of {sorted(_estimators.ESTIMATORS)}")
 
     def block_matrix(self):
         P = np.full((self.K, self.K), self.p_offdiag, dtype=float)
@@ -280,7 +283,11 @@ def setup_config(setup_id):
 def run_setup_replicates(setup_id, reps=DEFAULT_REPLICATES, master_seed=0):
     """Fit each method to fresh draws of a set-up; returns per-method error
     arrays. Draw ``rep`` is seeded by ``master_seed + rep`` and eigensolved
-    once for all methods, as in ``run_sweep``; a failed fit raises."""
+    once for all methods, as in ``run_sweep``; a failed fit raises.
+
+    Because the seed is ``master_seed + rep``, consecutive master seeds
+    share draws: seed s + 1 repeats draws 1..reps-1 of seed s as its draws
+    0..reps-2. Runs at nearby seeds are therefore not independent."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     cfg = setup_config(setup_id)
@@ -328,11 +335,3 @@ def scaling_check(cfg, method="scd"):
     return ScalingReport(rhos=rhos, mean_errors=means, normalized=norm,
                          spread_factor=float(spread),
                          flat=spread <= SCALING_FLATNESS_FACTOR, n=cfg.n)
-
-
-def spearman_rho_vs_error(sweep, method="scd"):
-    """Spearman correlation between the grid value and the mean error."""
-    rhos = sweep.valid_grid()
-    means = [sweep.table[(method, rho)]["mean"] for rho in rhos]
-    corr, _ = spearmanr(rhos, means)
-    return float(corr)

@@ -67,7 +67,7 @@ def home_base(Pi_hat):
     return np.argmax(Pi_hat, axis=1) + 1
 
 
-def miscluster_count(labels_hat, labels_true, K=None):
+def miscluster_count(labels_hat, labels_true, K):
     """Minimum label disagreements over all K! relabelings of labels_hat.
 
     Returns (count, permutation) where permutation[k] is the true label
@@ -77,8 +77,6 @@ def miscluster_count(labels_hat, labels_true, K=None):
     labels_true = np.asarray(labels_true, dtype=int)
     if labels_hat.shape != labels_true.shape:
         raise ValueError("label vectors differ in length")
-    if K is None:
-        K = int(max(labels_hat.max(), labels_true.max()))
     if labels_hat.max() > K or labels_true.max() > K:
         raise ValueError("labels exceed K")
     n = labels_hat.size
@@ -92,10 +90,6 @@ def miscluster_count(labels_hat, labels_true, K=None):
     return int(n + total), perm
 
 
-def highly_mixed(Pi_hat, threshold=MIXED_THRESHOLD):
-    """True where no single community weight exceeds ``threshold``."""
-    Pi_hat = np.asarray(Pi_hat, dtype=float)
-    K = Pi_hat.shape[1]
-    if not (1.0 / K) < threshold <= 1.0:
-        raise ValueError(f"threshold must lie in (1/{K}, 1], got {threshold}")
-    return Pi_hat.max(axis=1) <= threshold
+def highly_mixed(Pi_hat):
+    """True where no single community weight exceeds ``MIXED_THRESHOLD``."""
+    return np.asarray(Pi_hat, dtype=float).max(axis=1) <= MIXED_THRESHOLD

@@ -28,11 +28,6 @@ class InvariantError(ValueError):
 class SupportError(ValueError):
     """An expectation entry lies outside the support of the edge distribution."""
 
-    def __init__(self, message, indices=None, values=None):
-        super().__init__(message)
-        self.indices = indices
-        self.values = values
-
 
 def check_membership(Pi):
     """Validate an n x K membership matrix (rows on the simplex, full rank).
@@ -147,10 +142,7 @@ class EdgeDistribution:
             i, j = idx[0]
             raise SupportError(
                 f"{self.kind} mean at ({i},{j}) is {omega[i, j]:.6g}, not a finite value "
-                f"in [{lo:g}, {hi:g}] ({len(idx)} offending entries)",
-                indices=idx,
-                values=omega[bad],
-            )
+                f"in [{lo:g}, {hi:g}] ({len(idx)} offending entries)")
 
     def sample(self, means, rng):
         if self.kind == "normal":

@@ -273,7 +273,8 @@ def _number_labels(values):
 
 
 def load_labels(path, ids):
-    """Sidecar ground-truth labels: lines of 'id label'. Returns 1-based ints."""
+    """Sidecar ground-truth labels: lines of 'id label', one per node id
+    (a repeated id is a ``ParseError``). Returns 1-based ints."""
     raw = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -283,6 +284,8 @@ def load_labels(path, ids):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 'id label'")
+            if parts[0] in raw:
+                raise ParseError(f"{path}:{lineno}: node id {parts[0]!r} labelled twice")
             raw[parts[0]] = parts[1]
     missing = [x for x in ids if str(x) not in raw]
     if missing:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from spectralmix import harness, model
 
@@ -68,3 +69,11 @@ def sweep_draw(cfg, rho, rep):
     A = model.sample_adjacency(omega, cfg.edge_distribution(), seed=s_adj,
                                keep_self_loops=cfg.keep_self_loops)
     return A, s_est
+
+
+def spearman_rho_vs_error(sweep, method="scd"):
+    """Spearman correlation between the grid value and the mean error."""
+    rhos = sweep.valid_grid()
+    means = [sweep.table[(method, rho)]["mean"] for rho in rhos]
+    corr, _ = spearmanr(rhos, means)
+    return float(corr)

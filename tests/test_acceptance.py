@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import polblogs_path, random_ground_truth
+from conftest import polblogs_path, random_ground_truth, spearman_rho_vs_error
 from spectralmix import harness, metrics, model, netio
 from spectralmix.estimators import dfsp, ideal_scd, scd
 
@@ -146,7 +146,7 @@ class TestCriterion6ExperimentTrends:
     @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
     def test_error_decreases_with_rho(self, experiment_sweeps, exp_id):
         sweep = experiment_sweeps[exp_id]
-        corr = harness.spearman_rho_vs_error(sweep, "scd")
+        corr = spearman_rho_vs_error(sweep, "scd")
         ok = corr <= -0.9
         report("6-trend", ok, f"experiment {exp_id}: Spearman(rho, mean error) = {corr:.3f}")
         assert corr <= -0.9, f"experiment {exp_id} Spearman {corr:.3f} > -0.9"

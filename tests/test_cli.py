@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spectralmix
 from spectralmix import harness
 from spectralmix.cli import main
 
@@ -62,11 +67,26 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "missing field(s): mixed_profiles" in err
 
 
-# small edge files for the failure cases below: a 6-node graph whose K=4
-# corner block is singular, and a graph whose every weight is zero
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # a fresh process, pointed at the package under test, so nothing this
+    # test session has imported counts
+    code = "import spectralmix.cli, sys; print('scipy.stats' in sys.modules)"
+    src = Path(spectralmix.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
+
+
+# small input files for the failure cases below: a 6-node graph whose K=4
+# corner block is singular, a graph whose every weight is zero, and a sweep
+# config that names a method no estimator implements
 SMALL_FILES = {
     "six_nodes.tsv": "v0 v3\nv0 v4\nv0 v5\nv1 v2\nv1 v4\nv1 v5\nv2 v4\nv3 v5\n",
     "zero_weights.tsv": "a b 0\nc d 0\ne f 0\n",
+    "bogus_method.json": json.dumps({**json.loads(harness.experiment_config(1).to_json()),
+                                     "methods": ["scd", "bogus"]}),
 }
 
 
@@ -81,9 +101,10 @@ SMALL_FILES = {
     (["fit", "--file", "six_nodes.tsv", "--k", "4"], "corner block is numerically singular"),
     (["fit", "--file", "zero_weights.tsv", "--k", "2"], "matrix is all zero"),
     (["scree", "--file", "zero_weights.tsv"], "matrix is all zero"),
+    (["simulate", "--config", "bogus_method.json"], "unknown method(s) 'bogus'"),
 ], ids=["fit-k1", "scree-top1", "fit-missing-file", "simulate-missing-config", "setup-reps0",
         "fit-labels-missing-nodes", "fit-singular-corner-block", "fit-zero-weights",
-        "scree-zero-weights"])
+        "scree-zero-weights", "simulate-unknown-method"])
 def test_bad_input_exits_2_with_one_line(data_dir, tmp_path, capsys, argv, message):
     for name, text in SMALL_FILES.items():
         (tmp_path / name).write_text(text)

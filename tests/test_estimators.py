@@ -49,7 +49,7 @@ class TestIdealScd:
     def test_corner_rows_are_basis_vectors(self):
         omega, Pi, K = random_instance(1, n=60, K=3)
         res = ideal_scd(omega, K)
-        for idx in res.corner_indices:
+        for idx in res.corner_set.indices:
             row = np.sort(res.Pi_hat[idx])
             assert row[-1] == pytest.approx(1.0, abs=1e-8)
             assert row[:-1].max() <= 1e-8
@@ -111,7 +111,7 @@ class TestScd:
         r1 = scd(A, K, seed=7)
         r2 = scd(A, K, seed=7)
         assert np.array_equal(r1.Pi_hat, r2.Pi_hat)
-        assert np.array_equal(r1.corner_indices, r2.corner_indices)
+        assert np.array_equal(r1.corner_set.indices, r2.corner_set.indices)
 
 
 class TestDfsp:
@@ -168,7 +168,7 @@ def test_shared_pair_gives_the_same_fit(method, seed):
     own = estimate(method, A, K, seed=seed)
     shared = estimate(method, A, K, seed=seed, pair=top_k_eigs(A, K))
     assert np.array_equal(shared.Pi_hat, own.Pi_hat)
-    assert np.array_equal(shared.corner_indices, own.corner_indices)
+    assert np.array_equal(shared.corner_set.indices, own.corner_set.indices)
     assert np.array_equal(shared.Z, own.Z)
 
 
@@ -186,7 +186,7 @@ def test_noise_floor_diagonal_does_not_decide_the_fit():
     assert np.allclose(lanczos.U, full.U, atol=1e-12)
     a = scd(A, 3, seed=seed, pair=lanczos)
     b = scd(A, 3, seed=seed, pair=full)
-    assert np.array_equal(a.corner_indices, b.corner_indices)
+    assert np.array_equal(a.corner_set.indices, b.corner_set.indices)
     assert a.clamped_diag_count == b.clamped_diag_count
     assert np.allclose(a.Pi_hat, b.Pi_hat, rtol=0, atol=1e-9)
 

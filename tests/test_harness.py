@@ -14,7 +14,6 @@ from spectralmix.harness import (
     run_sweep,
     scaling_check,
     setup_config,
-    spearman_rho_vs_error,
 )
 
 
@@ -229,6 +228,14 @@ class TestExperimentConfigs:
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_json(json.dumps(raw))
 
+    def test_unknown_method_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"unknown method\(s\) 'bogus';"):
+            tiny_config(methods=("scd", "bogus"))
+        raw = json.loads(tiny_config().to_json())
+        raw["methods"] = "scd"  # a string, not a list: iterates as 's', 'c', 'd'
+        with pytest.raises(ValueError, match=r"unknown method\(s\) 's', 'c', 'd';"):
+            ExperimentConfig.from_json(json.dumps(raw))
+
     def test_bad_id(self):
         with pytest.raises(ValueError):
             experiment_config(5)
@@ -307,11 +314,3 @@ class TestScalingCheck:
     def test_rejects_unbounded_noise_families(self):
         with pytest.raises(ValueError, match="bernoulli"):
             scaling_check(tiny_config(distribution={"kind": "normal", "variance": 1.0}))
-
-
-def test_spearman_helper():
-    cfg = tiny_config(distribution={"kind": "normal", "variance": 0.0},
-                      rho_grid=[0.5, 1.0, 1.5], replicates=1)
-    sweep = run_sweep(cfg)
-    corr = spearman_rho_vs_error(sweep, "scd")
-    assert -1.0 <= corr <= 1.0

@@ -333,3 +333,11 @@ class TestFitNetwork:
         labels.write_text("a 1\nb 2\n")
         with pytest.raises(ParseError, match="missing labels"):
             load_labels(labels, load_edge_list(net).ids)
+
+    def test_labels_sidecar_repeated_node(self, tmp_path):
+        net = tmp_path / "n.tsv"
+        net.write_text("a b 1\nb c 1\n")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("a 1\nb 1\nc 2\na 2\n")
+        with pytest.raises(ParseError, match=r"labels\.tsv:4: node id 'a' labelled twice"):
+            load_labels(labels, load_edge_list(net).ids)
