@@ -4,12 +4,17 @@ Three small readers cover the formats the usual public datasets ship in:
 whitespace edge triplets, a minimal GML subset, and a minimal Pajek
 subset. Each returns the same shape, ``(edges, nodes)``: edges are
 ``(u, v, weight)`` triples and nodes are the declared ``(id, label,
-value-or-None)`` triples, empty for the whitespace format. The loader
-then names the nodes, checks the weights, and produces a sparse (CSR)
-symmetric matrix with zero diagonal and no stored zeros plus the node-id
-map, as a ``LoadedNetwork``; its ``labels`` hold ground truth when the
-file's node values carry it. The adjacency stays sparse through the fit's
-and the scree's eigensolves, so their cost follows the edge count.
+value-or-None)`` triples, empty for the whitespace format. The GML
+reader splits the text on double quotes, so a quoted string is one token
+whatever it holds, splits the rest on whitespace and brackets, and walks
+the tokens once. The loader then names the nodes, checks the weights, and
+merges the edges with a stable sort on their node pairs into a sparse
+(CSR) symmetric matrix with zero diagonal and no stored zeros plus the
+node-id map, as a ``LoadedNetwork``; a merge error names the earliest
+offending edge in the file. The network's ``labels`` hold ground truth
+when the file's node values carry it. The adjacency stays sparse through
+the fit's and the scree's eigensolves, so their cost follows the edge
+count.
 
 A fit is two steps: ``load_edge_list`` reads the file, and
 ``fit_network`` fits the loaded network. A caller with a sidecar label
@@ -20,9 +25,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -70,55 +75,63 @@ def _edges_whitespace(path):
     return edges, []
 
 
-_GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
-
-
 def _edges_gml(path):
-    text = Path(path).read_text()
-    tokens = _GML_TOKEN.findall(text)
+    """Nodes and edges of a GML file, read in one pass over its tokens.
+
+    The tokens are ``[``, ``]``, quoted strings, kept whole with their
+    quotes, and the whitespace-separated words between them. A quote
+    always starts or ends a token, so ``abc"def"`` is two tokens, and an
+    odd number of quotes is a ``ParseError``. A ``node`` or ``edge`` block
+    opens on the ``[`` right after that word, wherever it appears outside
+    another node or edge block. Inside it, depth-1 fields come as ``key
+    value`` pairs and the first occurrence of a key wins; a bracket after
+    a key drops the key, and deeper blocks (``graphics [ ... ]``) are
+    skipped.
+    """
+    parts = Path(path).read_text().split('"')
+    if len(parts) % 2 == 0:
+        raise ParseError(f"{path}: unbalanced quote")
+    tokens = chain.from_iterable(
+        [f'"{part}"'] if k % 2 else part.replace("[", " [ ").replace("]", " ] ").split()
+        for k, part in enumerate(parts))
     edges = []
     nodes = []
-    i = 0
-
-    def parse_block(start):
-        depth = 0
-        fields = {}
-        j = start
-        while j < len(tokens):
-            tok = tokens[j]
-            if tok == "[":
-                depth += 1
-            elif tok == "]":
-                depth -= 1
-                if depth == 0:
-                    return fields, j
-            elif depth == 1 and j + 1 < len(tokens) and tokens[j + 1] not in ("[", "]"):
-                fields.setdefault(tok, tokens[j + 1].strip('"'))
-                j += 1
-            j += 1
-        raise ParseError(f"{path}: unterminated block")
-
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in ("node", "edge") and i + 1 < len(tokens) and tokens[i + 1] == "[":
-            fields, i = parse_block(i + 1)
-            if tok == "node":
-                if "id" not in fields:
-                    raise ParseError(f"{path}: node block without id")
-                nodes.append((fields["id"], fields.get("label", fields["id"]),
-                              fields.get("value")))
+    kind = prev = key = None
+    for tok in tokens:
+        if kind is None:
+            if tok == "[" and prev in ("node", "edge"):
+                kind, depth, fields = prev, 1, {}
+            prev = tok
+        elif tok == "[":
+            depth += 1
+        elif tok == "]":
+            depth -= 1
+            key = None
+            if depth == 0:
+                if kind == "node":
+                    if "id" not in fields:
+                        raise ParseError(f"{path}: node block without id")
+                    nodes.append((fields["id"], fields.get("label", fields["id"]),
+                                  fields.get("value")))
+                else:
+                    if "source" not in fields or "target" not in fields:
+                        raise ParseError(f"{path}: edge block without source/target")
+                    u, v = fields["source"], fields["target"]
+                    raw = fields.get("value", fields.get("weight", "1"))
+                    try:
+                        w = float(raw)
+                    except ValueError:
+                        raise ParseError(f"{path}: bad weight {raw!r} on edge {u!r}-{v!r}")
+                    edges.append((u, v, w))
+                kind = prev = None
+        elif depth == 1:
+            if key is None:
+                key = tok
             else:
-                if "source" not in fields or "target" not in fields:
-                    raise ParseError(f"{path}: edge block without source/target")
-                u, v = fields["source"], fields["target"]
-                raw = fields.get("value", fields.get("weight", "1"))
-                try:
-                    w = float(raw)
-                except ValueError:
-                    raise ParseError(f"{path}: bad weight {raw!r} on edge {u!r}-{v!r}")
-                edges.append((u, v, w))
-        i += 1
-
+                fields.setdefault(key, tok.strip('"'))
+                key = None
+    if kind is not None:
+        raise ParseError(f"{path}: unterminated block")
     return edges, nodes
 
 
@@ -170,9 +183,12 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     ``symmetrize="strict"`` merges reciprocal duplicates only when their
     weights agree (conflicts are errors); ``"or"`` treats the file as a
     directed unweighted graph and keeps an edge of weight 1 wherever either
-    direction appears, whatever its weight. Self loops are dropped and
-    counted; a repeated node id and a non-finite weight are each a
-    ``ParseError``. ``largest_component``
+    direction appears, whatever its weight. Under ``"strict"`` every later
+    edge between a pair is checked against the pair's first edge in the
+    file: the same direction again is a duplicate, a weight more than
+    1e-12 away is a conflict, and the error names the earliest offending
+    edge in file order. Self loops are dropped and counted; a repeated node
+    id and a non-finite weight are each a ``ParseError``. ``largest_component``
     restricts to the biggest connected component (id map follows).
     """
     if format not in _PARSERS:
@@ -191,47 +207,55 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     label_list = [label for _, label, _ in nodes]
     use_labels = len(set(label_list)) == len(label_list)
     name = {nid: (label if use_labels else nid) for nid, label, _ in nodes}
-    edges = [(name.get(u, u), name.get(v, v), w) for u, v, w in edges]
+    us, vs, ws = zip(*edges) if edges else ((), (), ())
+    del edges  # the parsed triples would outlive the merge and raise its peak memory
+    us, vs = list(map(name.get, us, us)), list(map(name.get, vs, vs))
     values = {name[nid]: value for nid, _, value in nodes if value is not None}
-    for u, v, w in edges:
-        if not math.isfinite(w):
-            raise ParseError(f"{path}: non-finite weight {w} on edge {u!r}-{v!r}")
+    W = np.array(ws, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(W))
+    if bad.size:
+        e = bad[0]
+        raise ParseError(f"{path}: non-finite weight {ws[e]} on edge {us[e]!r}-{vs[e]!r}")
 
-    ids = [name[nid] for nid, _, _ in nodes]
-    seen = set(ids)
-    for u, v, _ in edges:
-        for x in (u, v):
-            if x not in seen:
-                seen.add(x)
-                ids.append(x)
+    # declared nodes first, then the others in order of first appearance
+    ids = list(dict.fromkeys(chain((name[nid] for nid, _, _ in nodes),
+                                   chain.from_iterable(zip(us, vs)))))
     if len(ids) < 2:
         raise ParseError(f"{path}: fewer than 2 nodes")
     index = {x: i for i, x in enumerate(ids)}
 
     n = len(ids)
-    have = {}
-    self_loops = 0
-    for u, v, w in edges:
-        i, j = index[u], index[v]
-        if i == j:
-            self_loops += 1
-            continue
-        key = (min(i, j), max(i, j))
-        if symmetrize == "or":
-            have[key] = (1.0, None)
-            continue
-        if unweighted:
-            w = 1.0
-        if key in have:
-            prev, prev_directed = have[key]
-            if (i, j) == prev_directed:
+    I = np.fromiter(map(index.__getitem__, us), dtype=np.int64, count=len(us))
+    J = np.fromiter(map(index.__getitem__, vs), dtype=np.int64, count=len(vs))
+    loops = I == J
+    self_loops = int(loops.sum())
+    pos = np.flatnonzero(~loops)
+    I, J, W = I[pos], J[pos], (np.ones(pos.size) if unweighted or symmetrize == "or"
+                               else W[pos])
+    lo, hi = np.minimum(I, J), np.maximum(I, J)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    first = sk != np.r_[-1, sk[:-1]]
+    if symmetrize == "strict":
+        # for each edge in sorted order, the position of its pair's first edge
+        head = order[np.maximum.accumulate(np.where(first, np.arange(sk.size), 0))]
+        dup = I[order] == I[head]
+        clash = dup | (np.abs(W[head] - W[order]) > 1e-12)
+        clash &= ~first
+        if clash.any():
+            e = np.argmin(np.where(clash, order, order.size))
+            u, v = us[pos[order[e]]], vs[pos[order[e]]]
+            if dup[e]:
                 raise ParseError(f"{path}: duplicate edge between {u!r} and {v!r}")
-            if abs(prev - w) > 1e-12:
-                raise ParseError(
-                    f"{path}: conflicting weights {prev} vs {w} for edge {u!r}-{v!r}")
-            continue
-        have[key] = (w, (i, j))
-    A = _symmetric_csr(n, have)
+            raise ParseError(f"{path}: conflicting weights {float(W[head[e]])} vs "
+                             f"{float(W[order[e]])} for edge {u!r}-{v!r}")
+    # zero weights are not stored: the component search would count a
+    # stored zero as an edge
+    pairs = order[first]
+    pairs = pairs[W[pairs] != 0]
+    lo, hi, w = lo[pairs], hi[pairs], W[pairs]
+    A = csr_matrix((np.r_[w, w], (np.r_[lo, hi], np.r_[hi, lo])), shape=(n, n))
 
     labels = None
     raw = [values.get(x) for x in ids]
@@ -252,18 +276,6 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
 
     return LoadedNetwork(adjacency=A, ids=ids, labels=labels,
                          dropped_self_loops=self_loops, removed_nodes=removed)
-
-
-def _symmetric_csr(n, weights):
-    """The n x n symmetric CSR matrix with ``weights[(i, j)][0]`` at (i, j)
-    and (j, i) for each pair i < j. Zero weights are not stored: the
-    component search would count a stored zero as an edge."""
-    kept = [(key, w) for key, (w, _) in weights.items() if w != 0]
-    ij = np.array([key for key, _ in kept], dtype=np.int64).reshape(-1, 2)
-    w = np.array([w for _, w in kept], dtype=float)
-    rows = np.concatenate([ij[:, 0], ij[:, 1]])
-    cols = np.concatenate([ij[:, 1], ij[:, 0]])
-    return csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
 
 
 def _number_labels(values):

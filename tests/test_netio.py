@@ -1,8 +1,12 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.sparse import issparse
+from scipy.sparse import csr_matrix, issparse
 
-from spectralmix import estimators
+from spectralmix import estimators, netio
 from spectralmix.netio import (
     FORMATS,
     ParseError,
@@ -139,6 +143,40 @@ class TestGml:
         with pytest.raises(ParseError):
             load_edge_list(path, format="gml_like")
 
+    def test_unbalanced_quote_rejected(self, tmp_path):
+        path = tmp_path / "quote.gml"
+        path.write_text('graph [ node [ id 1 label "a ] node [ id 2 ] ]')
+        with pytest.raises(ParseError, match=r"quote\.gml: unbalanced quote$"):
+            load_edge_list(path, format="gml_like")
+
+    def test_quoted_text_keeps_brackets_and_splits_from_bare_text(self, tmp_path):
+        path = tmp_path / "quoted.gml"
+        path.write_text('graph [ node [ id 1 label "x [ y ]" ] node [ id 2 label a"b c" ] ]')
+        assert netio._edges_gml(path)[1] == [("1", "x [ y ]", None), ("2", "a", None)]
+
+    def test_matches_networkx(self, tmp_path):
+        nx = pytest.importorskip("networkx")
+        text = """graph [
+  directed 0
+  node [ id 1 label "left [wing]" graphics [ x 1.0 y 2.0 fill "#ff0000" ] ]
+  node [ id 2 label "centre" ]
+  node [ id 3 label "right wing" graphics [ x 3.0 y 0.5 ] ]
+  node [ id 4 label "isolated" ]
+  edge [ source 1 target 2 weight 2.5 ]
+  edge [ source 3 target 2 weight 1.0 graphics [ width 2 ] ]
+  edge [ source 1 target 3 weight 0.25 ]
+]
+"""
+        path = tmp_path / "nx.gml"
+        path.write_text(text)
+        net = load_edge_list(path, format="gml_like")
+        graph = nx.parse_gml(text)
+        assert set(net.ids) == set(graph.nodes)
+        A = net.adjacency
+        ours = {frozenset((net.ids[i], net.ids[j])): A[i, j] for i, j in zip(*A.nonzero())}
+        theirs = {frozenset((u, v)): d["weight"] for u, v, d in graph.edges(data=True)}
+        assert ours == theirs
+
 
 class TestPajek:
     PAJEK = """*Vertices 3
@@ -245,6 +283,267 @@ class TestLargestComponent:
         net = load_edge_list(path, largest_component=True)
         assert net.ids == ["a", "b", "c"]
         assert net.removed_nodes == 2
+
+
+_GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
+
+
+def gml_reference(path):
+    """Regex tokens and an index walk that parses each node or edge block
+    from its opening bracket; the GML reader must give the same result."""
+    tokens = _GML_TOKEN.findall(Path(path).read_text())
+    edges, nodes = [], []
+
+    def parse_block(start):
+        depth, fields, j = 0, {}, start
+        while j < len(tokens):
+            tok = tokens[j]
+            if tok == "[":
+                depth += 1
+            elif tok == "]":
+                depth -= 1
+                if depth == 0:
+                    return fields, j
+            elif depth == 1 and j + 1 < len(tokens) and tokens[j + 1] not in ("[", "]"):
+                fields.setdefault(tok, tokens[j + 1].strip('"'))
+                j += 1
+            j += 1
+        raise ParseError(f"{path}: unterminated block")
+
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok in ("node", "edge") and i + 1 < len(tokens) and tokens[i + 1] == "[":
+            fields, i = parse_block(i + 1)
+            if tok == "node":
+                if "id" not in fields:
+                    raise ParseError(f"{path}: node block without id")
+                nodes.append((fields["id"], fields.get("label", fields["id"]),
+                              fields.get("value")))
+            else:
+                if "source" not in fields or "target" not in fields:
+                    raise ParseError(f"{path}: edge block without source/target")
+                u, v = fields["source"], fields["target"]
+                raw = fields.get("value", fields.get("weight", "1"))
+                try:
+                    w = float(raw)
+                except ValueError:
+                    raise ParseError(f"{path}: bad weight {raw!r} on edge {u!r}-{v!r}")
+                edges.append((u, v, w))
+        i += 1
+    return edges, nodes
+
+
+def load_reference(path, format, symmetrize, unweighted):
+    """``load_edge_list`` without ``largest_component``, merging edge by
+    edge in file order: each later edge of a pair is checked against the
+    pair's first edge, and the first failing check raises."""
+    parse = gml_reference if format == "gml_like" else netio._PARSERS[format]
+    edges, nodes = parse(path)
+    declared = set()
+    for nid, _, _ in nodes:
+        if nid in declared:
+            raise ParseError(f"{path}: node id {nid!r} declared twice")
+        declared.add(nid)
+    label_list = [label for _, label, _ in nodes]
+    use_labels = len(set(label_list)) == len(label_list)
+    name = {nid: (label if use_labels else nid) for nid, label, _ in nodes}
+    edges = [(name.get(u, u), name.get(v, v), w) for u, v, w in edges]
+    values = {name[nid]: value for nid, _, value in nodes if value is not None}
+    for u, v, w in edges:
+        if not math.isfinite(w):
+            raise ParseError(f"{path}: non-finite weight {w} on edge {u!r}-{v!r}")
+    ids = [name[nid] for nid, _, _ in nodes]
+    for u, v, _ in edges:
+        for x in (u, v):
+            if x not in ids:
+                ids.append(x)
+    if len(ids) < 2:
+        raise ParseError(f"{path}: fewer than 2 nodes")
+    n = len(ids)
+    have, self_loops = {}, 0
+    for u, v, w in edges:
+        i, j = ids.index(u), ids.index(v)
+        if i == j:
+            self_loops += 1
+            continue
+        key = (min(i, j), max(i, j))
+        if symmetrize == "or":
+            have[key] = (1.0, None)
+            continue
+        if unweighted:
+            w = 1.0
+        if key in have:
+            prev, prev_directed = have[key]
+            if (i, j) == prev_directed:
+                raise ParseError(f"{path}: duplicate edge between {u!r} and {v!r}")
+            if abs(prev - w) > 1e-12:
+                raise ParseError(
+                    f"{path}: conflicting weights {prev} vs {w} for edge {u!r}-{v!r}")
+            continue
+        have[key] = (w, (i, j))
+    A = np.zeros((n, n))
+    for (i, j), (w, _) in have.items():
+        A[i, j] = A[j, i] = w
+    raw = [values.get(x) for x in ids]
+    labels = (netio._number_labels(raw) if values and all(r is not None for r in raw)
+              else None)
+    return csr_matrix(A), ids, labels, self_loops
+
+
+def outcome(load, *args):
+    """What a loader gives: its result, or the ``ParseError`` text."""
+    try:
+        return load(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def same_network(path, format, symmetrize, unweighted):
+    """``load_edge_list`` agrees with ``load_reference``: the CSR arrays,
+    ids, labels and self-loop count, or the exact ``ParseError`` text."""
+    expected = outcome(load_reference, path, format, symmetrize, unweighted)
+    got = outcome(load_edge_list, path, format, symmetrize, False, unweighted)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    A, ids, labels, self_loops = expected
+    assert got.adjacency.format == "csr"
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.adjacency, attr), getattr(A, attr))
+    assert got.ids == ids and got.dropped_self_loops == self_loops
+    assert (got.labels is None) == (labels is None)
+    if labels is not None:
+        assert np.array_equal(got.labels, labels)
+
+
+MODES = [(sym, unweighted) for sym in ("strict", "or") for unweighted in (False, True)]
+
+WEIGHTS = ("1", "1", "2", "0", "2.5", "-1", "x", "inf", "1e400")
+
+
+def random_gml_soup(rng):
+    """GML text from node and edge blocks with nested and stray blocks,
+    repeated keys, quoted brackets and keywords as values; now and then a
+    token is deleted or inserted, or the text is cut short."""
+    def pick(seq):
+        return seq[rng.integers(len(seq))]
+
+    vocab = ["node", "edge", "[", "]", "id", "label", "value", "weight", "source",
+             "target", "graphics", "1", "2", '"3"', '"a [b"', '"node"', '""', "x"]
+    ids = ["1", "2", "3", "4", "5", '"2"']
+    labels = ['"a"', '"b"', '"c d"', '"[e]"', "f"]
+
+    def fields(keys):
+        out = []
+        for _ in range(rng.integers(0, 4)):
+            key = pick(keys)
+            out += [key, pick(ids if key in ("id", "source", "target") else
+                              labels if key == "label" else WEIGHTS)]
+            if rng.random() < 0.2:
+                out += [pick(["graphics", "node", "edge"]), "[", "x", pick(ids), "]"]
+        return out
+
+    toks = ["graph", "["]
+    node_share = 0.4
+    if rng.random() < 0.3:  # every node declared with a value: ground-truth labels
+        for nid in ids[:5]:
+            toks += ["node", "[", "id", nid, "label", pick(labels), "value", pick(ids), "]"]
+        ids, node_share = ids[:5], 0.0
+    for _ in range(rng.integers(1, 10)):
+        r = rng.random()
+        if r < node_share:
+            toks += ["node", "[", "id", pick(ids)] + fields(["label", "value", "id"]) + ["]"]
+        elif r < 0.85:
+            toks += (["edge", "[", "source", pick(ids), "target", pick(ids)]
+                     + fields(["value", "weight", "source"]) + ["]"])
+        else:
+            toks += [pick(vocab) for _ in range(rng.integers(1, 5))]
+    toks.append("]")
+    if rng.random() < 0.2:
+        del toks[rng.integers(len(toks))]
+    if rng.random() < 0.2:
+        toks.insert(rng.integers(len(toks) + 1), pick(vocab))
+    if rng.random() < 0.1:
+        toks = toks[:rng.integers(len(toks))]
+    return "".join(tok + pick([" ", "\n", "\t  "]) for tok in toks)
+
+
+def random_edge_lines(rng):
+    """Whitespace triplets over a small node pool: reciprocal pairs, self
+    loops and zero weights, with repeats and near-equal weights now and then."""
+    pool = [f"n{k}" for k in range(rng.integers(2, 7))]
+    weights = ["1", "2", "0", "-1.5", "1.0000000000005", "1.000000000002"]
+    lines = []
+    for _ in range(rng.integers(0, 12)):
+        u, v = pool[rng.integers(len(pool))], pool[rng.integers(len(pool))]
+        w = weights[rng.integers(len(weights))]
+        lines.append(f"{u} {v} {w}")
+        if rng.random() < 0.4:
+            lines.append(f"{v} {u} {w}")
+    if rng.random() < 0.05:
+        lines.append(f"{pool[0]} {pool[-1]} nan")
+    return "\n".join(rng.permutation(lines).tolist()) + "\n"
+
+
+class TestReferenceMerge:
+    """The vectorised reader and merge against the token walk and
+    edge-by-edge merge in ``gml_reference`` and ``load_reference``."""
+
+    def test_gml_soups(self, tmp_path):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "soup.gml"
+        for _ in range(300):
+            path.write_text(random_gml_soup(rng))
+            assert outcome(netio._edges_gml, path) == outcome(gml_reference, path)
+            for symmetrize, unweighted in MODES:
+                same_network(path, "gml_like", symmetrize, unweighted)
+
+    def test_random_edge_lists(self, tmp_path):
+        rng = np.random.default_rng(14)
+        path = tmp_path / "edges.tsv"
+        for _ in range(300):
+            path.write_text(random_edge_lines(rng))
+            for symmetrize, unweighted in MODES:
+                same_network(path, "whitespace_triplets", symmetrize, unweighted)
+
+    @pytest.mark.parametrize("symmetrize,unweighted", MODES)
+    @pytest.mark.parametrize("text", [
+        # the duplicate c-d comes before the conflicting a-b in the file,
+        # though a-b sorts first
+        "a b 1\nc d 1\nc d 1\nb a 2\n",
+        # the third a-b edge is checked against the first, not the second
+        "a b 1\nb a 1\nb a 1\n",
+        "a b 1\nb a 1\na b 1\n",
+        "a b 1\nb a 1.0000000000008\nb a 1.0000000000016\n",
+        # only self loops: two nodes, no edge
+        "a a 1\nb b 2\n",
+        # zero weights are no edge, and conflict with a nonzero reciprocal
+        "a b 0\nb a 0\nb c 1\n",
+        "a b 0\nb c 1\nb a 3\n",
+    ], ids=["earliest-offender", "third-reversed", "third-duplicate", "third-conflict",
+            "self-loops-only", "zero-weights", "zero-conflict"])
+    def test_pinned(self, tmp_path, text, symmetrize, unweighted):
+        path = tmp_path / "pinned.tsv"
+        path.write_text(text)
+        same_network(path, "whitespace_triplets", symmetrize, unweighted)
+
+    def test_pinned_outcomes(self, tmp_path):
+        path = tmp_path / "pinned.tsv"
+        path.write_text("a b 1\nc d 1\nc d 1\nb a 2\n")
+        with pytest.raises(ParseError, match=r"tsv: duplicate edge between 'c' and 'd'$"):
+            load_edge_list(path)
+        path.write_text("a b 1\nb a 1.0000000000008\nb a 1.0000000000016\n")
+        with pytest.raises(ParseError, match=r"tsv: conflicting weights 1\.0 vs "
+                                             r"1\.0000000000016 for edge 'b'-'a'$"):
+            load_edge_list(path)
+        path.write_text("a a 1\nb b 2\n")
+        net = load_edge_list(path)
+        assert net.ids == ["a", "b"] and net.adjacency.nnz == 0
+        assert net.dropped_self_loops == 2
+        path.write_text("a b 0\nb a 0\nb c 1\n")
+        assert load_edge_list(path).adjacency.nnz == 2
+        assert load_edge_list(path, symmetrize="or").adjacency.nnz == 4
 
 
 class TestRoundTrip:
