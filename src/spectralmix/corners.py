@@ -7,7 +7,8 @@ are the rows of pure nodes. Two selection routes live here:
 * ``svm_cone_corners`` ranks rows by their one-class max-margin value
   (corners have minimal margin), solved exactly as one least-distance
   problem, and clusters the minimal-margin band, or the lowest-margin rows
-  when the band stays small, into K groups on the sphere; a band that
+  when the band stays small, into K groups on the sphere with
+  ``spherical_kmeans``, whose restarts run together in arrays; a band that
   collapses into fewer than K groups is an error. A non-pointed empirical
   hull (negative off-diagonal blocks under heavy noise) has no max-margin
   solution, so it takes the successive-projection pick on the
@@ -100,50 +101,85 @@ def one_class_margin(points):
     return MarginSolution(w=w, row_margins=Y @ w)
 
 
+def _kmeanspp_seed(X, K, rng):
+    """k-means++ start indices under cosine distance."""
+    m = X.shape[0]
+    idx = [int(rng.integers(m))]
+    for _ in range(K - 1):
+        d = np.maximum(0.0, np.min(1.0 - X @ X[idx].T, axis=1))
+        total = d.sum()
+        if total <= 1e-15:
+            idx.append(int(rng.integers(m)))
+        else:
+            idx.append(int(rng.choice(m, p=d / total)))
+    return idx
+
+
+def _reseed_empty(X, C, labels):
+    """Move each empty cluster's center, in cluster order, to the point
+    farthest from its current center; returns the new labels."""
+    for k in range(C.shape[0]):
+        if not np.any(labels == k):
+            far = int(np.argmin(np.max(X @ C.T, axis=1)))
+            C[k] = X[far]
+            labels = np.argmax(X @ C.T, axis=1)
+    return labels
+
+
 def spherical_kmeans(points, K, seed):
     """Cosine k-means on unit rows; best of ``KMEANS_RESTARTS`` runs by the
     within-cluster cosine-distance objective. Empty clusters re-seed at the
-    point farthest from its current center."""
+    point farthest from its current center.
+
+    All restarts' k-means++ seeds are drawn first, in restart order, and
+    their Lloyd steps then run together in arrays; a restart stops when its
+    labels repeat and its centers pass ``np.allclose``. Each restart takes
+    the same arithmetic as it would alone, so the result does not depend
+    on the batching. That includes the sign of a zero: cluster sums start
+    from +0.0, as numpy 2.4's ``mean(axis=0)`` does, so a coordinate whose
+    members all hold -0.0 averages to +0.0 either way. A numpy whose
+    reduction starts from the first member would differ there alone.
+    """
     X = np.asarray(points, dtype=float)
     m = X.shape[0]
     if m < K:
         raise ValueError(f"need at least K={K} points, got {m}")
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
+    C = X[[_kmeanspp_seed(X, K, rng) for _ in range(KMEANS_RESTARTS)]]
+    labels = np.argmax(X @ C.transpose(0, 2, 1), axis=2)
+    running = np.arange(KMEANS_RESTARTS)
+    for _ in range(KMEANS_MAX_ITER):
+        if not running.size:
+            break
+        Cr, Lr = C[running], labels[running]
+        rows = np.arange(running.size)[:, None]
+        counts = np.bincount((Lr + K * rows).ravel(), minlength=running.size * K)
+        counts = counts.reshape(running.size, K)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            Lr[r] = _reseed_empty(X, Cr[r], Lr[r])
+            counts[r] = np.bincount(Lr[r], minlength=K)
+        # member sums in row order from +0.0, as each cluster's own
+        # mean(axis=0) adds them
+        sums = np.zeros(Cr.shape)
+        np.add.at(sums, (rows, Lr), X)
+        means = sums / np.maximum(counts, 1)[..., None]
+        # per-center np.linalg.norm: a batched norm can round differently;
+        # an empty cluster's zero mean fails the norm test and keeps its center
+        norms = np.array([np.linalg.norm(v) for v in means.reshape(-1, means.shape[2])])
+        norms = norms.reshape(counts.shape)[..., None]
+        newC = np.divide(means, norms, out=Cr.copy(), where=norms > 1e-15)
+        new_labels = np.argmax(X @ newC.transpose(0, 2, 1), axis=2)
+        # np.allclose's test, written out per restart
+        done = ((new_labels == Lr).all(axis=1)
+                & (np.abs(newC - Cr) <= 1e-8 + 1e-5 * np.abs(Cr)).all(axis=(1, 2)))
+        C[running], labels[running] = newC, new_labels
+        running = running[~done]
     best = None
-    for _ in range(KMEANS_RESTARTS):
-        idx = [int(rng.integers(m))]
-        for _ in range(K - 1):
-            d = np.maximum(0.0, np.min(1.0 - X @ X[idx].T, axis=1))
-            total = d.sum()
-            if total <= 1e-15:
-                idx.append(int(rng.integers(m)))
-            else:
-                idx.append(int(rng.choice(m, p=d / total)))
-        C = X[idx].copy()
-        labels = np.argmax(X @ C.T, axis=1)
-        for _ in range(KMEANS_MAX_ITER):
-            for k in range(K):
-                if not np.any(labels == k):
-                    far = int(np.argmin(np.max(X @ C.T, axis=1)))
-                    C[k] = X[far]
-                    labels = np.argmax(X @ C.T, axis=1)
-            newC = C.copy()
-            for k in range(K):
-                members = X[labels == k]
-                if members.size:
-                    mean = members.mean(axis=0)
-                    norm = np.linalg.norm(mean)
-                    if norm > 1e-15:
-                        newC[k] = mean / norm
-            new_labels = np.argmax(X @ newC.T, axis=1)
-            done = np.array_equal(new_labels, labels) and np.allclose(newC, C)
-            C, labels = newC, new_labels
-            if done:
-                break
-        obj = float(np.sum(1.0 - np.sum(X * C[labels], axis=1)))
+    for Cr, Lr in zip(C, labels):
+        obj = float(np.sum(1.0 - np.sum(X * Cr[Lr], axis=1)))
         if best is None or obj < best[0] - 1e-12:
-            best = (obj, labels.copy(), C.copy())
-    return best[1], best[2]
+            best = (obj, Lr, Cr)
+    return best[1].copy(), best[2].copy()
 
 
 def svm_cone_corners(normalized, K, seed):

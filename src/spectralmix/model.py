@@ -8,7 +8,8 @@ user-supplied sampler with the right mean.
 
 All randomness flows through counter-based Philox streams so that a
 single integer seed reproduces a draw across platforms. Entries are
-drawn in fixed upper-triangle row-major order.
+drawn in fixed upper-triangle row-major order, in one vectorised call per
+draw, and written straight into both triangles of the adjacency matrix.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def build_omega(P, Pi, theta):
     """Expectation matrix Theta Pi P Pi' Theta of the edge weights.
 
     Symmetric with rank exactly K whenever the parameter invariants hold.
+    The node scales multiply ``Pi P Pi'`` in place, and the symmetric part
+    takes one more n x n array.
     """
     P = check_block_matrix(P)
     Pi = check_membership(Pi)
@@ -96,9 +99,12 @@ def build_omega(P, Pi, theta):
         raise InvariantError(f"block matrix is {P.shape[0]}x{P.shape[0]} but membership has {K} columns")
     if theta.size != n:
         raise InvariantError(f"theta has length {theta.size}, expected {n}")
-    core = Pi @ P @ Pi.T
-    omega = theta[:, None] * core * theta[None, :]
-    return 0.5 * (omega + omega.T)
+    omega = Pi @ P @ Pi.T
+    omega *= theta[:, None]
+    omega *= theta
+    sym = omega + omega.T
+    sym *= 0.5
+    return sym
 
 
 @dataclass(frozen=True)
@@ -134,8 +140,11 @@ class EdgeDistribution:
     def validate(self, omega):
         """Check every off-diagonal mean is finite and in this family's support."""
         omega = np.asarray(omega, dtype=float)
-        off = ~np.eye(omega.shape[0], dtype=bool)
         lo, hi = self.support
+        least, most = omega.min(initial=np.inf), omega.max(initial=-np.inf)
+        if np.isfinite(least) and np.isfinite(most) and lo <= least and most <= hi:
+            return  # every entry, the diagonal too, is in the support
+        off = ~np.eye(omega.shape[0], dtype=bool)
         bad = off & (~np.isfinite(omega) | (omega < lo) | (omega > hi))
         if np.any(bad):
             idx = np.argwhere(bad)
@@ -146,7 +155,11 @@ class EdgeDistribution:
 
     def sample(self, means, rng):
         if self.kind == "normal":
-            return rng.normal(means, np.sqrt(self.variance))
+            # the operations Generator.normal performs, without its per-entry broadcast
+            draws = rng.standard_normal(np.shape(means))
+            draws *= np.sqrt(self.variance)
+            draws += means
+            return draws
         if self.kind == "bernoulli":
             return rng.binomial(1, means).astype(float)
         if self.kind == "poisson":
@@ -168,7 +181,10 @@ def sample_adjacency(omega, dist, seed, keep_self_loops=False):
 
     Upper-triangle entries are independent draws from ``dist``; the lower
     triangle mirrors them. The diagonal is zero unless ``keep_self_loops``,
-    in which case it is sampled from the same family.
+    in which case it is sampled from the same family. The upper-triangle
+    means are gathered once through an n x n boolean mask and the draws
+    are written to both triangles, so ``A`` is the one n x n float array
+    a call makes.
     """
     omega = np.asarray(omega, dtype=float)
     n = omega.shape[0]
@@ -176,11 +192,13 @@ def sample_adjacency(omega, dist, seed, keep_self_loops=False):
         raise ValueError("omega must be square")
     dist.validate(omega)
     rng = _stream(seed)
-    iu = np.triu_indices(n, 1)
-    vals = dist.sample(omega[iu], rng)
+    # a boolean mask selects in row-major order, as triu_indices would, at an
+    # eighth of the index arrays' memory; the transposed view mirrors the draws
+    upper = ~np.tri(n, dtype=bool)
+    vals = dist.sample(omega[upper], rng)
     A = np.zeros((n, n))
-    A[iu] = vals
-    A = A + A.T
+    A[upper] = vals
+    A.T[upper] = vals
     if keep_self_loops:
         A[np.diag_indices(n)] = dist.sample(np.diag(omega), rng)
     return A

@@ -183,11 +183,11 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     ``symmetrize="strict"`` merges reciprocal duplicates only when their
     weights agree (conflicts are errors); ``"or"`` treats the file as a
     directed unweighted graph and keeps an edge of weight 1 wherever either
-    direction appears, whatever its weight. Under ``"strict"`` every later
-    edge between a pair is checked against the pair's first edge in the
-    file: the same direction again is a duplicate, a weight more than
-    1e-12 away is a conflict, and the error names the earliest offending
-    edge in file order. Self loops are dropped and counted; a repeated node
+    direction appears, whatever its weight. Under ``"strict"`` an edge whose
+    direction already appeared for its pair is a duplicate, a later edge of
+    a pair whose weight is more than 1e-12 away from the pair's first edge
+    is a conflict, and the error names the earliest offending edge in file
+    order. Self loops are dropped and counted; a repeated node
     id and a non-finite weight are each a ``ParseError``. ``largest_component``
     restricts to the biggest connected component (id map follows).
     """
@@ -239,10 +239,11 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
     first = sk != np.r_[-1, sk[:-1]]
     if symmetrize == "strict":
         # for each edge in sorted order, the position of its pair's first edge
-        head = order[np.maximum.accumulate(np.where(first, np.arange(sk.size), 0))]
-        dup = I[order] == I[head]
-        clash = dup | (np.abs(W[head] - W[order]) > 1e-12)
-        clash &= ~first
+        start = np.maximum.accumulate(np.where(first, np.arange(sk.size), 0))
+        head = order[start]
+        # a pair has two directions, so its third edge and later repeat one
+        dup = ~first & ((I[order] == I[head]) | (np.arange(sk.size) - start >= 2))
+        clash = dup | (~first & (np.abs(W[head] - W[order]) > 1e-12))
         if clash.any():
             e = np.argmin(np.where(clash, order, order.size))
             u, v = us[pos[order[e]]], vs[pos[order[e]]]

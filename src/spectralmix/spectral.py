@@ -3,17 +3,21 @@
 Magnitude ordering matters here because valid block matrices can carry
 negative entries, so informative eigenvalues may sit at either end of the
 spectrum. Each eigenpair or scree question is one Lanczos call (ARPACK's
-``eigsh``) from a fixed start vector, so repeated calls are bitwise equal
-unless the Krylov space closes early and the top K holds a repeated
-eigenvalue. Only K >= n - 1 takes a full symmetric solve. Input is a
-dense array or a scipy.sparse matrix; the type picks the route. A sparse
-matrix stays sparse through the checks and the Lanczos call, so a loaded
-network costs what its edges cost, and is made dense only for the full
-solve.
+``eigsh``) from a fixed start vector. When the Krylov space closes early,
+ARPACK asks for a restart vector. On scipy releases whose ``eigsh`` takes
+``rng``, that vector comes from a fixed generator, so repeated calls, in
+one process or several, are bitwise equal; older releases promise that
+only when no restart is needed. Only K >= n - 1 takes a full symmetric
+solve. Input is a dense array or a scipy.sparse matrix; the type picks
+the route. The checks take the scale from the extremes, with no |M|
+temporary. A sparse matrix stays sparse through the checks and the
+Lanczos call, so a loaded network costs what its edges cost, and is made
+dense only for the full solve.
 """
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,6 +52,13 @@ class NormalizedRows:
     matrix: np.ndarray
     row_norms: np.ndarray
     degenerate: list = field(default_factory=list)
+
+
+# ARPACK asks for a random restart vector when the Krylov space closes
+# early; a fixed generator keeps that draw, and so the result, repeatable.
+# Older scipy releases have no ``rng`` parameter; there the draw is left to
+# scipy's ARPACK, and repeated calls are not promised to agree.
+_EIGSH_RNG = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
 
 
 def _start_vector(n):
@@ -86,7 +97,8 @@ def top_k_eigs(M, K):
     Ties between +x and -x order the positive eigenvalue first, then by
     original index. That rule holds in full only on the full solve: the
     Lanczos call returns only K eigenpairs, so ARPACK breaks an exact tie
-    at the K-th magnitude, reproducibly given the fixed start vector.
+    at the K-th magnitude, reproducibly given the fixed start and restart
+    vectors.
     Raises on non-finite, all-zero or asymmetric input; warns when the K-th
     eigenvalue is negligible relative to the first (rank deficiency).
     ``M`` is a dense array or a scipy.sparse matrix, which is not densified
@@ -103,7 +115,8 @@ def top_k_eigs(M, K):
     if M.ndim != 2 or M.shape[1] != n:
         raise ValueError("matrix must be square")
     entries = M.data if sparse else M
-    scale = np.max(np.abs(entries), initial=0.0)
+    # max |entry| from the extremes: no |M| temporary
+    scale = max(-entries.min(initial=0.0), entries.max(initial=0.0))
     if not np.isfinite(scale):
         count, (i, j) = _non_finite(M)
         raise ValueError(f"matrix has {count} non-finite entries, "
@@ -116,7 +129,7 @@ def top_k_eigs(M, K):
         raise ValueError(f"K={K} out of range for n={n}")
 
     if K < n - 1:
-        vals, vecs = eigsh(M, k=K, which="LM", v0=_start_vector(n))
+        vals, vecs = eigsh(M, k=K, which="LM", v0=_start_vector(n), **_EIGSH_RNG)
     else:
         vals, vecs = np.linalg.eigh(M.toarray() if sparse else M)
     pick = _order_by_magnitude(vals, K)

@@ -125,6 +125,97 @@ class TestSphericalKmeans:
         assert np.array_equal(l1, l2) and np.array_equal(c1, c2)
 
 
+def reference_spherical_kmeans(X, K, seed, reseeds):
+    """``spherical_kmeans`` as first written, one restart at a time; counts
+    its empty-cluster re-seeds in ``reseeds[0]``."""
+    m = X.shape[0]
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
+    best = None
+    for _ in range(10):
+        idx = [int(rng.integers(m))]
+        for _ in range(K - 1):
+            d = np.maximum(0.0, np.min(1.0 - X @ X[idx].T, axis=1))
+            total = d.sum()
+            if total <= 1e-15:
+                idx.append(int(rng.integers(m)))
+            else:
+                idx.append(int(rng.choice(m, p=d / total)))
+        C = X[idx].copy()
+        labels = np.argmax(X @ C.T, axis=1)
+        for _ in range(300):
+            for k in range(K):
+                if not np.any(labels == k):
+                    reseeds[0] += 1
+                    far = int(np.argmin(np.max(X @ C.T, axis=1)))
+                    C[k] = X[far]
+                    labels = np.argmax(X @ C.T, axis=1)
+            newC = C.copy()
+            for k in range(K):
+                members = X[labels == k]
+                if members.size:
+                    mean = members.mean(axis=0)
+                    norm = np.linalg.norm(mean)
+                    if norm > 1e-15:
+                        newC[k] = mean / norm
+            new_labels = np.argmax(X @ newC.T, axis=1)
+            done = np.array_equal(new_labels, labels) and np.allclose(newC, C)
+            C, labels = newC, new_labels
+            if done:
+                break
+        obj = float(np.sum(1.0 - np.sum(X * C[labels], axis=1)))
+        if best is None or obj < best[0] - 1e-12:
+            best = (obj, labels.copy(), C.copy())
+    return best[1], best[2]
+
+
+class TestKmeansBitwiseReference:
+    """The batched restarts give the bits of the one-at-a-time loop."""
+
+    def test_seeded_inputs(self):
+        rng = np.random.default_rng(21)
+        reseeds = [0]
+        for case in range(60):
+            K = int(rng.integers(1, 5))
+            m = K if case % 5 == 0 else int(rng.integers(K, 120))
+            X = rng.normal(size=(m, max(K, 2)))
+            if case % 2:  # few distinct rows, at times fewer than K: clusters empty
+                distinct = max(1, K - 1) if case % 4 == 1 else max(1, m // 6)
+                X = X[rng.integers(distinct, size=m)]
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+            got = spherical_kmeans(X, K, seed=case)
+            want = reference_spherical_kmeans(X, K, case, reseeds)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        assert reseeds[0] > 0  # the re-seed path ran
+
+    def test_signed_zero_coordinates(self):
+        # eigenvector sign fixing can leave -0.0 entries; where a cluster's
+        # members all hold -0.0, its center gets the zero's sign that
+        # mean(axis=0) gives
+        rng = np.random.default_rng(4)
+        for seed in range(5):
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=40)
+            X = np.column_stack([np.cos(angles), np.sin(angles), np.full(40, -0.0)])
+            got = spherical_kmeans(X, 3, seed=seed)
+            want = reference_spherical_kmeans(X, 3, seed, [0])
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    def test_sweep_candidates(self):
+        # the band rows svm_cone_corners clusters on pointed sweep draws
+        for exp in (2, 3):
+            cfg = harness.experiment_config(exp, master_seed=11)
+            for rho in cfg.rho_grid[::3]:
+                A, seed = sweep_draw(cfg, rho, 0)
+                normalized = row_normalize(top_k_eigs(A, cfg.K).U)
+                cs = svm_cone_corners(normalized, cfg.K, seed)
+                X = normalized.matrix[cs.candidates]
+                got = spherical_kmeans(X, cfg.K, seed)
+                want = reference_spherical_kmeans(X, cfg.K, seed, [0])
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestSvmConeCorners:
     def test_ideal_recovers_pure_nodes(self):
         for seed in range(10):

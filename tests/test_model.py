@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectralmix import model
 from spectralmix.model import (
     EdgeDistribution,
     InvariantError,
@@ -142,6 +143,70 @@ class TestSampleAdjacency:
             dtype=float, count=m)
         sigma = np.sqrt(0.3 * 0.7)
         assert abs(draws.mean() - 0.3) < 4 * sigma / np.sqrt(m)
+
+
+def reference_build_omega(P, Pi, theta):
+    """``build_omega``'s arithmetic as first written, with new temporaries."""
+    omega = theta[:, None] * (Pi @ P @ Pi.T) * theta[None, :]
+    return 0.5 * (omega + omega.T)
+
+
+def reference_sample_adjacency(omega, dist, seed, keep_self_loops=False):
+    """``sample_adjacency`` as first written: index arrays, a one-sided fill
+    mirrored by ``A + A.T``, and ``Generator.normal`` for the normal family."""
+    def draw(means):
+        if dist.kind == "normal":
+            return rng.normal(means, np.sqrt(dist.variance))
+        if dist.kind == "bernoulli":
+            return rng.binomial(1, means).astype(float)
+        if dist.kind == "poisson":
+            return rng.poisson(means).astype(float)
+        return 2.0 * rng.binomial(1, (1.0 + means) / 2.0) - 1.0
+
+    n = omega.shape[0]
+    dist.validate(omega)
+    rng = model._stream(seed)
+    iu = np.triu_indices(n, 1)
+    A = np.zeros((n, n))
+    A[iu] = draw(omega[iu])
+    A = A + A.T
+    if keep_self_loops:
+        A[np.diag_indices(n)] = draw(np.diag(omega))
+    return A
+
+
+class TestBitwiseReference:
+    """The rewritten sampler gives the bits of the code it replaced."""
+
+    FAMILIES = {"normal": (EdgeDistribution("normal", variance=0.7), -2.0, 2.0),
+                "bernoulli": (EdgeDistribution("bernoulli"), 0.0, 1.0),
+                "poisson": (EdgeDistribution("poisson"), 0.0, 3.0),
+                "signed": (EdgeDistribution("signed"), -1.0, 1.0)}
+
+    @pytest.mark.parametrize("keep_self_loops", [False, True], ids=["no-loops", "loops"])
+    @pytest.mark.parametrize("n", [2, 3, 57, 400])
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_sample_adjacency(self, kind, n, keep_self_loops):
+        dist, lo, hi = self.FAMILIES[kind]
+        rng = np.random.default_rng(n)
+        omega = rng.uniform(lo, hi, size=(n, n))
+        omega = (omega + omega.T) / 2
+        # means at the ends of the support, placed asymmetrically
+        omega[rng.random((n, n)) < 0.1] = hi
+        omega[rng.random((n, n)) < 0.1] = lo
+        for seed in (0, 11, 2**40 + 3):
+            got = sample_adjacency(omega, dist, seed, keep_self_loops=keep_self_loops)
+            want = reference_sample_adjacency(omega, dist, seed, keep_self_loops)
+            assert got.tobytes() == want.tobytes()
+
+    def test_build_omega(self):
+        rng = np.random.default_rng(2)
+        from conftest import random_ground_truth
+
+        for n, K in ((2, 2), (57, 3), (400, 4)):
+            P, Pi, theta = random_ground_truth(rng, n, K)
+            assert build_omega(P, Pi, theta).tobytes() == \
+                reference_build_omega(P, Pi, theta).tobytes()
 
 
 class TestSyntheticLayouts:

@@ -336,8 +336,9 @@ def gml_reference(path):
 
 def load_reference(path, format, symmetrize, unweighted):
     """``load_edge_list`` without ``largest_component``, merging edge by
-    edge in file order: each later edge of a pair is checked against the
-    pair's first edge, and the first failing check raises."""
+    edge in file order: an edge whose direction its pair has already seen
+    is a duplicate, each later edge of a pair is checked against the pair's
+    first edge's weight, and the first failing check raises."""
     parse = gml_reference if format == "gml_like" else netio._PARSERS[format]
     edges, nodes = parse(path)
     declared = set()
@@ -374,14 +375,15 @@ def load_reference(path, format, symmetrize, unweighted):
         if unweighted:
             w = 1.0
         if key in have:
-            prev, prev_directed = have[key]
-            if (i, j) == prev_directed:
+            prev, seen = have[key]
+            if (i, j) in seen:
                 raise ParseError(f"{path}: duplicate edge between {u!r} and {v!r}")
             if abs(prev - w) > 1e-12:
                 raise ParseError(
                     f"{path}: conflicting weights {prev} vs {w} for edge {u!r}-{v!r}")
+            seen.add((i, j))
             continue
-        have[key] = (w, (i, j))
+        have[key] = (w, {(i, j)})
     A = np.zeros((n, n))
     for (i, j), (w, _) in have.items():
         A[i, j] = A[j, i] = w
@@ -512,7 +514,7 @@ class TestReferenceMerge:
         # the duplicate c-d comes before the conflicting a-b in the file,
         # though a-b sorts first
         "a b 1\nc d 1\nc d 1\nb a 2\n",
-        # the third a-b edge is checked against the first, not the second
+        # a third a-b edge repeats a direction, whichever it takes
         "a b 1\nb a 1\nb a 1\n",
         "a b 1\nb a 1\na b 1\n",
         "a b 1\nb a 1.0000000000008\nb a 1.0000000000016\n",
@@ -533,7 +535,14 @@ class TestReferenceMerge:
         path.write_text("a b 1\nc d 1\nc d 1\nb a 2\n")
         with pytest.raises(ParseError, match=r"tsv: duplicate edge between 'c' and 'd'$"):
             load_edge_list(path)
+        path.write_text("a b 1\nb a 1\nb a 1\n")
+        with pytest.raises(ParseError, match=r"tsv: duplicate edge between 'b' and 'a'$"):
+            load_edge_list(path)
+        # within 1e-12 of the first edge, a repeated direction is still a duplicate
         path.write_text("a b 1\nb a 1.0000000000008\nb a 1.0000000000016\n")
+        with pytest.raises(ParseError, match=r"tsv: duplicate edge between 'b' and 'a'$"):
+            load_edge_list(path)
+        path.write_text("a b 1\nb a 1.0000000000016\n")
         with pytest.raises(ParseError, match=r"tsv: conflicting weights 1\.0 vs "
                                              r"1\.0000000000016 for edge 'b'-'a'$"):
             load_edge_list(path)

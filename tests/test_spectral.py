@@ -1,11 +1,16 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+import spectralmix
 from conftest import random_ground_truth, sweep_draw
-from spectralmix import harness, model
+from spectralmix import harness, model, spectral
 from spectralmix.netio import load_edge_list
 from spectralmix.spectral import (
     NormalizedRows,
@@ -73,6 +78,31 @@ class TestTopKEigs:
         p2 = top_k_eigs(M, 3)
         assert np.array_equal(p1.U, p2.U)
         assert np.array_equal(p1.eigenvalues, p2.eigenvalues)
+
+    @pytest.mark.skipif(not spectral._EIGSH_RNG,
+                        reason="this scipy's eigsh takes no rng: the restart vector is not fixed")
+    def test_repeatable_across_processes(self, tmp_path):
+        # 15 disjoint edges and 10 triangles: the top eigenvalue 2 has
+        # multiplicity 10 and the Krylov space closes early, so ARPACK asks
+        # for a restart vector, which must be the same in every process
+        A = np.zeros((60, 60))
+        pairs = [(i, i + 1) for i in range(0, 30, 2)]
+        pairs += [(t + a, t + b) for t in range(30, 60, 3) for a, b in ((0, 1), (1, 2), (0, 2))]
+        i, j = np.array(pairs).T
+        A[i, j] = A[j, i] = 1.0
+        U = top_k_eigs(A, 3).U
+        for _ in range(2):
+            assert np.array_equal(top_k_eigs(A, 3).U, U)
+        np.save(tmp_path / "A.npy", A)
+        code = ("import sys, numpy as np; from spectralmix.spectral import top_k_eigs; "
+                "sys.stdout.write(top_k_eigs(np.load(sys.argv[1]), 3).U.tobytes().hex())")
+        src = Path(spectralmix.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        for _ in range(2):
+            out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "A.npy")],
+                                 capture_output=True, text=True, env=env, check=True).stdout
+            assert out == U.tobytes().hex()
 
     def test_sign_convention(self):
         for seed in range(5):
