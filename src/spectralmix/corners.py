@@ -6,10 +6,14 @@ are the rows of pure nodes. Two selection routes live here:
 
 * ``svm_cone_corners`` ranks rows by their one-class max-margin value
   (corners have minimal margin), solved exactly as one least-distance
-  problem, and clusters the minimal-margin band, or the lowest-margin rows
+  problem by an in-house Lawson-Hanson nonnegative least squares
+  (``_nnls``, at most 3 least-squares steps per row, scipy's default
+  bound), and clusters the minimal-margin band, or the lowest-margin rows
   when the band stays small, into K groups on the sphere with
   ``spherical_kmeans``, whose restarts run together in arrays; a band that
-  collapses into fewer than K groups is an error. A non-pointed empirical
+  collapses into fewer than K groups is an error. Rows whose margins agree
+  to ``DELTA_MIN`` enter the k-means in row order, so the solver's last
+  bits never order them. A non-pointed empirical
   hull (negative off-diagonal blocks under heavy noise) has no max-margin
   solution, so it takes the successive-projection pick on the
   degree-weighted rows instead.
@@ -23,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 # NNLS residual at or below which the origin is in the rows' convex hull:
 # non-pointed sweep draws give about 1e-16, the thinnest pointed ones 4e-4
 HULL_TOL = 1e-10
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
+DELTA_MIN = 1e-6
 DELTA_CAP = 0.5
 FLOOR_FRAC = 0.25
 
@@ -68,13 +72,65 @@ class CornerSet:
     cluster_assignments: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
 
+def _nnls(E, f, maxiter=None):
+    """u >= 0 minimizing ||E u - f||, and that residual norm.
+
+    Lawson and Hanson's active-set method (*Solving Least Squares
+    Problems*, ch. 23) with scipy's tolerance, 10 * max(E.shape) * eps, on
+    the dual vector and on the dropped coefficients. The least squares on
+    the passive set runs over at most ``E.shape[0]`` independent columns. A
+    column whose new coefficient is not positive is dependent on the
+    passive ones and is set aside until the dual is next updated, as in
+    the book's step 5. More than ``maxiter`` least-squares steps (default
+    ``3 * E.shape[1]``, scipy's bound) raise ``EstimationError``.
+    """
+    m = E.shape[1]
+    maxiter = 3 * m if maxiter is None else maxiter
+    tol = 10 * max(E.shape) * np.finfo(float).eps
+    u, passive = np.zeros(m), np.zeros(m, dtype=bool)
+    dual = E.T @ f
+    steps = 0
+
+    def solve():
+        nonlocal steps
+        steps += 1
+        if steps > maxiter:
+            raise EstimationError(
+                f"the margin solve did not converge in {maxiter} least-squares steps")
+        s = np.zeros(m)
+        s[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+        return s
+
+    while True:
+        free = ~passive & (dual > tol)
+        if not free.any():
+            break
+        k = int(np.argmax(np.where(free, dual, -np.inf)))
+        passive[k] = True
+        s = solve()
+        if s[k] <= 0:
+            passive[k], dual[k] = False, 0.0
+            continue
+        while (s[passive] <= 0).any():
+            neg = passive & (s <= 0)
+            alpha = np.min(u[neg] / (u[neg] - s[neg]))
+            u += alpha * (s - u)
+            passive &= u > tol
+            s = solve()
+        u = s
+        dual = E.T @ (f - E @ u)
+    return u, float(np.linalg.norm(E @ u - f))
+
+
 def one_class_margin(points):
     """Solve min ||w||^2 subject to w . y_i >= 1 over unit-norm rows y_i.
 
     This is least-distance programming, solved exactly by one nonnegative
     least-squares problem (Lawson and Hanson, *Solving Least Squares
     Problems*, ch. 23): u >= 0 minimizing ||E u - e_{K+1}|| with
-    E = [Y'; 1']. A residual of at most ``HULL_TOL`` puts the origin in the
+    E = [Y'; 1'], by the in-house ``_nnls`` in at most 3 least-squares
+    steps per row; more raise an ``EstimationError`` without a
+    certificate. A residual of at most ``HULL_TOL`` puts the origin in the
     rows' convex hull, so the hull is not pointed and the problem has no
     solution: that raises an ``EstimationError`` whose certificate is the
     convex weights u / sum(u), with Y'u ~ 0. Otherwise, with residual r,
@@ -87,7 +143,7 @@ def one_class_margin(points):
     E = np.vstack([Y.T, np.ones(len(Y))])
     f = np.zeros(E.shape[0])
     f[-1] = 1.0
-    u, rnorm = nnls(E, f)
+    u, rnorm = _nnls(E, f)
     if rnorm <= HULL_TOL:
         lam = u / u.sum()
         raise EstimationError(
@@ -189,12 +245,13 @@ def svm_cone_corners(normalized, K, seed):
     On a pointed hull the candidates are the minimal-margin band of
     ``one_class_margin``'s exact margins, widened geometrically up to
     ``DELTA_CAP`` until it holds ``max(2K, FLOOR_FRAC * rows)`` rows, else
-    that many lowest-margin rows. One spherical k-means pass splits them
-    into K clusters, each represented by its member closest to the center
-    (lowest index among ties); candidates that collapse into fewer than K
-    clusters raise ``EstimationError``. The corner block's condition is
-    checked only by the estimator that inverts it. Degenerate rows are
-    never candidates.
+    that many lowest-margin rows, where the narrowest band (``DELTA_MIN``)
+    ranks as equal and comes first in row order. One spherical k-means pass
+    splits them into K clusters, each represented by its member closest to
+    the center (lowest index among ties); candidates that collapse into
+    fewer than K clusters raise ``EstimationError``. The corner block's
+    condition is checked only by the estimator that inverts it. Degenerate
+    rows are never candidates.
 
     When ``one_class_margin`` certifies that no hyperplane through the
     origin separates the rows, there are no margins to rank, so the
@@ -214,7 +271,9 @@ def svm_cone_corners(normalized, K, seed):
     margins = np.full(n, np.inf)
     try:
         margins_u = one_class_margin(X[usable]).row_margins
-    except EstimationError:  # one_class_margin raises it only on a non-pointed hull
+    except EstimationError as err:
+        if err.certificate is None:  # the solve stopped at its step bound
+            raise
         margins[usable] = 0.0
         weighted = X[usable] * row_norms[usable, None]
         return CornerSet(indices=np.sort(usable[spa_corners(weighted, K).indices]),
@@ -224,13 +283,17 @@ def svm_cone_corners(normalized, K, seed):
 
     mmin = margins_u.min()
     floor = min(usable.size, max(2 * K, int(np.ceil(FLOOR_FRAC * usable.size))))
-    delta = 1e-6
+    delta = DELTA_MIN
     cand = usable[margins_u <= (1.0 + delta) * mmin]
     while cand.size < floor and delta < DELTA_CAP:
         delta = min(max(delta * 1.5, 1e-4), DELTA_CAP)
         cand = usable[margins_u <= (1.0 + delta) * mmin]
     if cand.size < floor:
-        cand = usable[np.argsort(margins_u, kind="stable")[:floor]]
+        # the narrowest band's rows rank as equal, in row order: the support
+        # rows all have margin 1, computed only to within the solver's
+        # rounding, and k-means++ seeds by position
+        key = np.maximum(margins_u, (1.0 + DELTA_MIN) * mmin)
+        cand = usable[np.argsort(key, kind="stable")[:floor]]
 
     labels, centers = spherical_kmeans(X[cand], K, seed)
     if np.unique(labels).size < K:

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 EXHAUSTIVE_K = 8
 MIXED_THRESHOLD = 0.8
@@ -38,6 +37,9 @@ def _min_perm(cost, exhaustive):
             if total < best:
                 best, best_perm = total, perm
         return best, best_perm
+    # imported here so that K <= EXHAUSTIVE_K never loads scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()), tuple(int(c) for c in cols)
 

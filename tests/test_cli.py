@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import spectralmix
-from spectralmix import harness
+from spectralmix import corners, harness
 from spectralmix.cli import main
 
 
@@ -67,16 +68,53 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "missing field(s): mixed_profiles" in err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # a fresh process, pointed at the package under test, so nothing this
-    # test session has imported counts
-    code = "import spectralmix.cli, sys; print('scipy.stats' in sys.modules)"
+def run_fresh_python(code):
+    """stdout of ``code`` in a fresh process, pointed at the package under
+    test, so nothing this test session has imported counts."""
     src = Path(spectralmix.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import spectralmix.cli, sys; print('scipy.stats' in sys.modules)"
+    assert run_fresh_python(code).strip() == "False"
+
+
+def test_scipy_optimize_loads_only_for_assignment():
+    # K <= 8 enumerates permutations; K = 9 is the first to import the
+    # assignment solver, and it must match the enumeration
+    code = """if True:
+        import sys
+        import numpy as np
+        import spectralmix.cli
+        from spectralmix.metrics import l1_error_rate
+        loaded = lambda: 'scipy.optimize' in sys.modules
+        rng = np.random.default_rng(0)
+        print(loaded())
+        l1_error_rate(rng.dirichlet(np.ones(8), size=10), rng.dirichlet(np.ones(8), size=10))
+        print(loaded())
+        Pi_hat, Pi = rng.dirichlet(np.ones(9), size=12), rng.dirichlet(np.ones(9), size=12)
+        fast = l1_error_rate(Pi_hat, Pi)
+        print(loaded())
+        slow = l1_error_rate(Pi_hat, Pi, exhaustive=True)
+        print(fast.best_permutation == slow.best_permutation,
+              abs(fast.l1_rate - slow.l1_rate) <= 1e-12)
+    """
+    assert run_fresh_python(code).split() == ["False", "False", "True", "True", "True"]
+
+
+def test_margin_solve_at_its_step_bound_exits_2(data_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(corners, "_nnls", functools.partial(corners._nnls, maxiter=1))
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--file", str(data_dir / "karate.tsv"), "--k", "2",
+              "--out", str(tmp_path / "fit")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "the margin solve did not converge in 1 least-squares steps" in err
 
 
 # small input files for the failure cases below: a 6-node graph whose K=4

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls as scipy_nnls
 
 from conftest import random_ground_truth, sweep_draw
-from spectralmix import estimators, harness, metrics, model
+from spectralmix import corners, estimators, harness, metrics, model
 from spectralmix.corners import (
+    HULL_TOL,
     EstimationError,
+    _nnls,
     one_class_margin,
     spa_corners,
     spherical_kmeans,
@@ -76,6 +81,144 @@ class TestOneClassMargin:
     def test_requires_unit_rows(self):
         with pytest.raises(ValueError, match="unit-norm"):
             one_class_margin(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+
+def margin_problem(Y):
+    """``one_class_margin``'s NNLS problem for the rows Y."""
+    E = np.vstack([Y.T, np.ones(len(Y))])
+    f = np.zeros(E.shape[0])
+    f[-1] = 1.0
+    return E, f
+
+
+@pytest.fixture(scope="module")
+def margin_draws():
+    """Sweep draws of all four experiments across rho (master seed 11,
+    replicate 0): adjacency, spectral pair, K and estimator seed."""
+    draws = []
+    for exp in (1, 2, 3, 4):
+        cfg = harness.experiment_config(exp, master_seed=11)
+        for rho in cfg.rho_grid[::3]:
+            A, s_est = sweep_draw(cfg, rho, 0)
+            draws.append((A, top_k_eigs(A, cfg.K), cfg.K, s_est))
+    return draws
+
+
+class TestNnls:
+    """The in-house solver against ``scipy.optimize.nnls``: the residual of
+    the projection onto a convex cone is unique, so it must agree even
+    where the coefficients do not (duplicate or zero columns)."""
+
+    @staticmethod
+    def assert_matches_scipy(E, f):
+        u, rnorm = _nnls(E, f)
+        u_ref, rnorm_ref = scipy_nnls(E, f)
+        assert u.min() >= 0
+        assert rnorm == pytest.approx(np.linalg.norm(E @ u - f), abs=1e-15)
+        assert np.abs((E @ u - f) - (E @ u_ref - f)).max() <= 1e-12
+        assert (rnorm <= HULL_TOL) == (rnorm_ref <= HULL_TOL)
+        return rnorm
+
+    @pytest.mark.parametrize("rows,m", [(4, 10), (4, 3), (6, 2), (3, 40), (5, 5), (2, 25)])
+    def test_random_problems(self, rows, m):
+        rng = np.random.default_rng(rows * 100 + m)
+        for case in range(20):
+            E = rng.normal(size=(rows, m))
+            if case % 3 == 1 and m >= 3:
+                E[:, 1] = E[:, 0]  # a duplicate column
+                E[:, 2] = 0.0      # and a zero column
+            if case % 2:  # f inside the cone: residual zero
+                f = E @ (np.abs(rng.normal(size=m)) * (rng.random(m) < 0.5))
+            else:
+                f = rng.normal(size=rows)
+            self.assert_matches_scipy(E, f)
+
+    def test_sweep_draws(self, margin_draws):
+        verdicts = set()
+        for _, pair, _, _ in margin_draws:
+            rnorm = self.assert_matches_scipy(*margin_problem(row_normalize(pair.U).matrix))
+            verdicts.add(rnorm <= HULL_TOL)
+        assert verdicts == {True, False}  # both non-pointed and pointed draws
+
+    def test_full_rank_coefficients_match_scipy(self):
+        # independent columns make u unique; a condition number near 1e6
+        # separates an orthogonal least-squares solve from the normal
+        # equations, which square it
+        rng = np.random.default_rng(7)
+        for rows, m in [(6, 4), (5, 5), (8, 3)]:
+            Q1 = np.linalg.qr(rng.normal(size=(rows, rows)))[0]
+            Q2 = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            E = Q1[:, :m] @ np.diag(np.logspace(0, -6, m)) @ Q2
+            u_true = rng.uniform(0.5, 2.0, size=m)
+            u, _ = _nnls(E, E @ u_true)
+            u_ref, _ = scipy_nnls(E, E @ u_true)
+            assert np.abs(u - u_ref).max() <= 1e-8
+            assert np.abs(u - u_true).max() <= 1e-8
+
+    def test_largest_dual_enters_first(self):
+        # f lies on the second column, whose dual (1.0) beats the first's
+        # (0.6): one least-squares step; taking the first free column
+        # instead costs three (enter it, enter the second, drop the first)
+        E, f = np.array([[0.6, 1.0], [0.8, 0.0]]), np.array([1.0, 0.0])
+        u, rnorm = _nnls(E, f, maxiter=1)
+        assert u.tolist() == [0.0, 1.0] and rnorm == 0.0
+        with pytest.raises(EstimationError, match="did not converge in 0"):
+            _nnls(E, f, maxiter=0)
+
+    def test_iteration_bound(self):
+        # three columns enter one at a time: three least-squares steps
+        E, f = np.eye(3), np.ones(3)
+        u, rnorm = _nnls(E, f, maxiter=3)
+        assert u.tolist() == [1.0, 1.0, 1.0] and rnorm == 0.0
+        for maxiter in (1, 2):
+            with pytest.raises(EstimationError, match="did not converge in"):
+                _nnls(E, f, maxiter=maxiter)
+
+
+class TestScipyNnlsReference:
+    """``scipy.optimize.nnls``, the margin step's solver before the in-house
+    one, as the reference: the corners, their clusters and the fits must not
+    depend on which solver ran."""
+
+    @staticmethod
+    def corners_of(pair, K, seed):
+        cs = svm_cone_corners(row_normalize(pair.U), K, seed)
+        return cs.candidates.tolist(), cs.indices.tolist(), cs.cluster_assignments.tolist()
+
+    def test_sweep_draws(self, margin_draws, monkeypatch):
+        def fit(A, pair, K, seed):
+            return (self.corners_of(pair, K, seed),
+                    estimators.estimate("scd", A, K, seed=seed, pair=pair).Pi_hat.tobytes())
+
+        ours = [fit(*draw) for draw in margin_draws]
+        monkeypatch.setattr(corners, "_nnls", scipy_nnls)
+        for draw, got in zip(margin_draws, ours):
+            assert got == fit(*draw)
+
+    def test_slice_order_ignores_margin_rounding(self, margin_draws, monkeypatch):
+        # the support rows all have margin 1, computed only to within the
+        # solver's rounding: moving every margin by a few ulps must move no
+        # candidate, corner or cluster
+        exact = [self.corners_of(pair, K, seed) for _, pair, K, seed in margin_draws]
+        slices = 0
+        for _, pair, K, seed in margin_draws:
+            margins = svm_cone_corners(row_normalize(pair.U), K, seed).margins
+            margins = margins[np.isfinite(margins)]
+            floor = max(2 * K, int(np.ceil(corners.FLOOR_FRAC * margins.size)))
+            slices += margins.min() > 0 and (
+                (margins <= (1 + corners.DELTA_CAP) * margins.min()).sum() < floor)
+        assert slices >= 3  # draws that take the lowest-margin slice
+        solve = corners.one_class_margin
+
+        def jittered(points):
+            sol = solve(points)
+            ulps = np.random.default_rng(0).integers(-4, 5, size=sol.row_margins.size)
+            return dataclasses.replace(
+                sol, row_margins=sol.row_margins * (1 + ulps * np.finfo(float).eps))
+
+        monkeypatch.setattr(corners, "one_class_margin", jittered)
+        for (_, pair, K, seed), want in zip(margin_draws, exact):
+            assert self.corners_of(pair, K, seed) == want
 
 
 class TestSphericalKmeans:

@@ -1,12 +1,13 @@
 import csv
 import dataclasses
+import functools
 import json
 import re
 
 import numpy as np
 import pytest
 
-from spectralmix import estimators, harness, model, spectral
+from spectralmix import corners, estimators, harness, model, spectral
 from spectralmix.harness import (
     ExperimentConfig,
     experiment_config,
@@ -80,6 +81,14 @@ class TestRunSweep:
         assert calls == []
         assert sweep.valid_grid() == []
         assert all("dfsp failed on all 2 replicates" in r for r in sweep.invalid.values())
+
+    def test_margin_solve_at_its_step_bound_fails_the_fit(self, monkeypatch):
+        # the margin solve raises EstimationError at its step bound, which
+        # fails scd's fits without stopping the sweep
+        monkeypatch.setattr(corners, "_nnls", functools.partial(corners._nnls, maxiter=1))
+        sweep = run_sweep(tiny_config())
+        assert sweep.valid_grid() == []
+        assert all("scd failed on all 2 replicates" in r for r in sweep.invalid.values())
 
     def test_linalg_failure_on_one_replicate(self, monkeypatch, tmp_path):
         cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
