@@ -219,9 +219,11 @@ def spherical_kmeans(points, K, seed):
         sums = np.zeros(Cr.shape)
         np.add.at(sums, (rows, Lr), X)
         means = sums / np.maximum(counts, 1)[..., None]
-        # per-center np.linalg.norm: a batched norm can round differently;
-        # an empty cluster's zero mean fails the norm test and keeps its center
-        norms = np.array([np.linalg.norm(v) for v in means.reshape(-1, means.shape[2])])
+        # one stacked dot per center, the BLAS dot np.linalg.norm takes, so
+        # the bits match a per-center norm; an empty cluster's zero mean
+        # fails the norm test and keeps its center
+        flat = means.reshape(-1, 1, means.shape[2])
+        norms = np.sqrt((flat @ flat.transpose(0, 2, 1)).ravel())
         norms = norms.reshape(counts.shape)[..., None]
         newC = np.divide(means, norms, out=Cr.copy(), where=norms > 1e-15)
         new_labels = np.argmax(X @ newC.transpose(0, 2, 1), axis=2)

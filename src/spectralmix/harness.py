@@ -244,6 +244,8 @@ def experiment_config(exp_id, n=400, n0=40, replicates=DEFAULT_REPLICATES, maste
         grid = [round(0.1 * i, 10) for i in range(1, 11)]
     else:
         raise ValueError("experiment id must be 1, 2, 3 or 4")
+    if n < 3 * n0:
+        raise ValueError(f"n={n} is below the 3*{n0} = {3 * n0} pure rows")
     count, rest = divmod(n - 3 * n0, len(EXPERIMENT_PROFILES))
     if rest:
         raise ValueError(f"n={n} does not split into 3*{n0} pure plus 4 equal mixed groups")

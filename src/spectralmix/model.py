@@ -208,8 +208,13 @@ def make_synthetic_membership(n, K, n0, mixed_profiles=()):
     """Block layout: n0 pure rows per community, then mixed profiles in order.
 
     ``mixed_profiles`` is a sequence of (profile, count) pairs; profile k
-    occupies the next ``count`` rows. Counts plus K*n0 must equal n.
+    occupies the next ``count`` rows. Counts are nonnegative, and plus
+    K*n0 must equal n.
     """
+    for profile, count in mixed_profiles:
+        if count < 0:
+            raise InvariantError(f"mixed profile {tuple(np.ravel(profile).tolist())} "
+                                 f"has count {count}; counts must be >= 0")
     total = K * n0 + sum(c for _, c in mixed_profiles)
     if total != n:
         raise InvariantError(f"K*n0 + mixed counts = {total}, expected n = {n}")

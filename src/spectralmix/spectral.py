@@ -13,6 +13,13 @@ the route. The checks take the scale from the extremes, with no |M|
 temporary. A sparse matrix stays sparse through the checks and the
 Lanczos call, so a loaded network costs what its edges cost, and is made
 dense only for the full solve.
+
+The reported residual's two Frobenius norms are elementwise reductions,
+not BLAS calls. OpenBLAS splits a dot of more than 10,000 entries across
+its worker threads, which then spin for about 60 ms; on a dense n=400
+draw or a loaded network that spin would take a core from every fit.
+Outside ARPACK's own BLAS calls and the full solve, a fit wakes no
+worker pool.
 """
 
 from __future__ import annotations
@@ -79,6 +86,13 @@ def _fix_signs(U):
     return U
 
 
+def _frobenius(x):
+    """Frobenius norm as an elementwise sum: ``np.linalg.norm`` would take a
+    BLAS dot, which wakes OpenBLAS's workers past 10,000 entries."""
+    x = x.ravel()
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
+
+
 def _non_finite(M):
     """How many entries of ``M`` are not finite, and the first in row-major
     order; a canonical CSR matrix stores its entries in that order."""
@@ -142,8 +156,8 @@ def top_k_eigs(M, K):
             RuntimeWarning,
             stacklevel=2,
         )
-    normM = np.linalg.norm(entries)
-    residual = float(np.linalg.norm(M @ U - U * lam) / normM) if normM > 0 else 0.0
+    normM = _frobenius(entries)
+    residual = _frobenius(M @ U - U * lam) / normM if normM > 0 else 0.0
     return SpectralPair(U=U, eigenvalues=lam, residual=residual)
 
 

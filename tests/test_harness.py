@@ -249,6 +249,21 @@ class TestExperimentConfigs:
         with pytest.raises(ValueError):
             experiment_config(5)
 
+    def test_n_below_the_pure_rows(self):
+        # n - 3*n0 = -20 splits into four groups of -5
+        with pytest.raises(ValueError, match=re.escape("n=100 is below the 3*40 = 120 pure rows")):
+            experiment_config(1, n=100, n0=40)
+        Pi = experiment_config(1, n=120, n0=40).membership()
+        assert np.array_equal(Pi, np.repeat(np.eye(3), 40, axis=0))
+
+    def test_negative_count_from_json_rejected(self):
+        raw = json.loads(tiny_config().to_json())
+        raw["mixed_profiles"] = [[[0.6, 0.4], 14], [[0.5, 0.5], -2]]  # still 36 rows
+        cfg = ExperimentConfig.from_json(json.dumps(raw))
+        with pytest.raises(model.InvariantError,
+                           match=re.escape("mixed profile (0.5, 0.5) has count -2")):
+            run_sweep(cfg)
+
 
 class TestSetups:
     @pytest.mark.parametrize("setup_id,n,n0,kind", [

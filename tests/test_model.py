@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,13 @@ class TestSyntheticLayouts:
     def test_count_mismatch(self):
         with pytest.raises(InvariantError, match="expected n"):
             make_synthetic_membership(10, 2, 4, [((0.5, 0.5), 3)])
+
+    def test_negative_count_rejected(self):
+        # the counts sum to n, so only the sign check stops the -3 from
+        # leaving the first profile no rows
+        p = (0.5, 0.5)
+        with pytest.raises(InvariantError, match=re.escape("mixed profile (0.5, 0.5) has count -3")):
+            make_synthetic_membership(10, 2, 5, [(p, 3), (p, -3)])
 
     def test_profile_off_simplex(self):
         with pytest.raises(InvariantError, match="simplex"):

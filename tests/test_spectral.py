@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,49 @@ class TestSparseInput:
             top_k_eigs(dense, K)
         with pytest.raises(ValueError, match=re.escape(str(dense_error.value)) + "$"):
             top_k_eigs(sparse, K)
+
+
+def symmetric_pair_of_draws():
+    """A dense 400x400 symmetric draw, and a 200-node CSR one with more
+    than 10,000 stored entries: past that length OpenBLAS threads a dot."""
+    rng = np.random.default_rng(8)
+    dense = rng.normal(size=(400, 400))
+    dense += dense.T
+    upper = np.triu(rng.random((200, 200)) < 0.4, 1) * rng.normal(size=(200, 200))
+    sparse = csr_matrix(upper + upper.T)
+    assert sparse.nnz > 10_000
+    return dense, sparse
+
+
+def other_threads_cpu(seconds):
+    """CPU time the process's other threads take while this one runs pure
+    Python for ``seconds``."""
+    p0, t0 = time.process_time(), time.thread_time()
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+    return (time.process_time() - p0) - (time.thread_time() - t0)
+
+
+class TestNormsWithoutBlas:
+    """``top_k_eigs`` reports its residual without a BLAS call that wakes
+    a worker pool; an OpenBLAS worker spins for about 60 ms after each."""
+
+    def test_fits_leave_no_worker_spinning(self):
+        dense, sparse = symmetric_pair_of_draws()
+        time.sleep(0.2)  # let any pool an earlier test woke go idle
+        spun = 0.0
+        for M in (dense, dense, sparse, sparse):
+            top_k_eigs(M, 3)
+            spun += other_threads_cpu(0.1)
+        assert spun < 0.05
+
+    def test_residual_matches_linalg_norm(self):
+        for M in symmetric_pair_of_draws():
+            pair = top_k_eigs(M, 3)
+            entries = M.data if isinstance(M, csr_matrix) else M
+            want = np.linalg.norm(M @ pair.U - pair.U * pair.eigenvalues) / np.linalg.norm(entries)
+            assert pair.residual == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestRowNormalize:
