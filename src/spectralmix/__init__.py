@@ -22,7 +22,6 @@ from .harness import (
     experiment_config,
     run_setup_replicates,
     run_sweep,
-    scaling_check,
     setup_config,
 )
 from .metrics import ErrorReport, highly_mixed, home_base, l1_error_rate, miscluster_count
@@ -45,7 +44,7 @@ __all__ = [
     "spa_corners", "spherical_kmeans", "svm_cone_corners",
     "EstimationError", "EstimationResult", "dfsp", "ideal_scd", "scd",
     "ExperimentConfig", "SweepResult", "experiment_config",
-    "run_setup_replicates", "run_sweep", "scaling_check", "setup_config",
+    "run_setup_replicates", "run_sweep", "setup_config",
     "ErrorReport", "highly_mixed", "home_base", "l1_error_rate", "miscluster_count",
     "EdgeDistribution", "InvariantError", "SupportError", "build_omega",
     "make_synthetic_membership", "make_theta", "sample_adjacency",

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import _stream
+
 # NNLS residual at or below which the origin is in the rows' convex hull:
 # non-pointed sweep draws give about 1e-16, the thinnest pointed ones 4e-4
 HULL_TOL = 1e-10
@@ -200,7 +202,7 @@ def spherical_kmeans(points, K, seed):
     m = X.shape[0]
     if m < K:
         raise ValueError(f"need at least K={K} points, got {m}")
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
+    rng = _stream(seed)
     C = X[[_kmeanspp_seed(X, K, rng) for _ in range(KMEANS_RESTARTS)]]
     labels = np.argmax(X @ C.transpose(0, 2, 1), axis=2)
     running = np.arange(KMEANS_RESTARTS)

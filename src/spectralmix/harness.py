@@ -1,5 +1,5 @@
-"""Benchmark harness: parameter sweeps with replicate averaging, the four
-canonical small demonstration set-ups, and the error-rate scaling check.
+"""Benchmark harness: parameter sweeps with replicate averaging, and the
+four canonical small demonstration set-ups.
 
 Replicate seeds derive from (master_seed, grid index, replicate index)
 through named seed sequences, so a sweep is reproducible bit-for-bit and
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -27,7 +26,6 @@ from . import model as _model
 from . import spectral as _spectral
 
 DEFAULT_REPLICATES = 50
-SCALING_FLATNESS_FACTOR = 3.0
 
 
 @dataclass
@@ -147,6 +145,18 @@ def _replicate_seeds(master_seed, tags):
     return [int(s) for s in ss.generate_state(3, dtype=np.uint64)]
 
 
+def draw_replicate(cfg, gi, rep, P, Pi, dist):
+    """Replicate ``rep`` at grid index ``gi`` of a sweep: its adjacency and
+    the seed its estimators take. ``P``, ``Pi`` and ``dist`` are the
+    config's block matrix, membership and edge distribution, built once per
+    sweep by the caller."""
+    s_theta, s_adj, s_est = _replicate_seeds(cfg.master_seed, (gi, rep))
+    theta = _model.make_theta(cfg.n, cfg.rho_grid[gi], cfg.theta_rule, seed=s_theta)
+    omega = _model.build_omega(P, Pi, theta)
+    A = _model.sample_adjacency(omega, dist, seed=s_adj, keep_self_loops=cfg.keep_self_loops)
+    return A, s_est
+
+
 def run_sweep(cfg, progress=None):
     """Run every (grid point, replicate, method) cell of a sweep.
 
@@ -180,11 +190,7 @@ def run_sweep(cfg, progress=None):
         seconds = {m: [] for m in cfg.methods}
         replicates = {m: [] for m in cfg.methods}
         for rep in range(cfg.replicates):
-            s_theta, s_adj, s_est = _replicate_seeds(cfg.master_seed, (gi, rep))
-            theta = _model.make_theta(cfg.n, rho, cfg.theta_rule, seed=s_theta)
-            omega = _model.build_omega(P, Pi, theta)
-            A = _model.sample_adjacency(omega, dist, seed=s_adj,
-                                        keep_self_loops=cfg.keep_self_loops)
+            A, s_est = draw_replicate(cfg, gi, rep, P, Pi, dist)
             t0 = time.perf_counter()
             try:
                 pair = _spectral.top_k_eigs(A, cfg.K)
@@ -306,34 +312,3 @@ def run_setup_replicates(setup_id, reps=DEFAULT_REPLICATES, master_seed=0):
             result = _estimators.estimate(method, A, cfg.K, seed=s_est, pair=pair)
             errors[method].append(_metrics.l1_error_rate(result.Pi_hat, Pi).l1_rate)
     return {m: np.array(v) for m, v in errors.items()}
-
-
-@dataclass
-class ScalingReport:
-    rhos: list
-    mean_errors: list
-    normalized: list
-    spread_factor: float
-    flat: bool
-    n: int
-
-
-def scaling_check(cfg, method="scd"):
-    """Error-rate scaling against the sqrt(log n / (rho n)) reference.
-
-    Runs the sweep, multiplies each mean error by sqrt(rho n)/sqrt(log n),
-    and flags failure when the normalized values spread by more than a
-    factor of SCALING_FLATNESS_FACTOR across the valid grid.
-    """
-    if cfg.distribution["kind"] not in ("bernoulli", "poisson"):
-        raise ValueError("scaling check applies to the sparsity-controlled families "
-                         "(bernoulli, poisson)")
-    sweep = run_sweep(cfg)
-    rhos = sweep.valid_grid()
-    means = [sweep.table[(method, rho)]["mean"] for rho in rhos]
-    norm = [m * math.sqrt(rho * cfg.n) / math.sqrt(math.log(cfg.n))
-            for m, rho in zip(means, rhos)]
-    spread = max(norm) / min(norm) if min(norm) > 0 else math.inf
-    return ScalingReport(rhos=rhos, mean_errors=means, normalized=norm,
-                         spread_factor=float(spread),
-                         flat=spread <= SCALING_FLATNESS_FACTOR, n=cfg.n)

@@ -172,6 +172,8 @@ class EdgeDistribution:
 
 
 def _stream(seed):
+    """The Philox generator of an integer seed, taken modulo 2**64: every
+    random stream in the package comes from here."""
     key = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     return np.random.Generator(np.random.Philox(key=key))
 

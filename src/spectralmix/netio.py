@@ -56,22 +56,33 @@ class LoadedNetwork:
         return self.adjacency.shape[0]
 
 
+def _data_lines(fh, comment):
+    """``(line number, stripped line)`` for each line of ``fh`` that is
+    neither blank nor starts with ``comment``."""
+    for lineno, line in enumerate(fh, 1):
+        line = line.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line
+
+
+def _weight(path, lineno, parts):
+    """An edge line's third field as its weight; 1.0 when there is none."""
+    if len(parts) < 3:
+        return 1.0
+    try:
+        return float(parts[2])
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: bad weight {parts[2]!r}")
+
+
 def _edges_whitespace(path):
     edges = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _data_lines(fh, "#"):
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ParseError(f"{path}:{lineno}: expected 'u v [weight]', got {line!r}")
-            u, v = parts[0], parts[1]
-            try:
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad weight {parts[2]!r}")
-            edges.append((u, v, w))
+            edges.append((parts[0], parts[1], _weight(path, lineno, parts)))
     return edges, []
 
 
@@ -140,10 +151,7 @@ def _edges_pajek(path):
     nodes = []
     mode = None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
+        for lineno, line in _data_lines(fh, "%"):
             low = line.lower()
             if low.startswith("*vertices"):
                 mode = "vertices"
@@ -159,11 +167,7 @@ def _edges_pajek(path):
                 parts = line.split()
                 if len(parts) < 2:
                     raise ParseError(f"{path}:{lineno}: bad edge line {line!r}")
-                try:
-                    w = float(parts[2]) if len(parts) > 2 else 1.0
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad weight {parts[2]!r}")
-                edges.append((parts[0], parts[1], w))
+                edges.append((parts[0], parts[1], _weight(path, lineno, parts)))
             else:
                 raise ParseError(f"{path}:{lineno}: content before any *Vertices/*Edges section")
     return edges, nodes
@@ -290,10 +294,7 @@ def load_labels(path, ids):
     (a repeated id is a ``ParseError``). Returns 1-based ints."""
     raw = {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _data_lines(fh, "#"):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 'id label'")

@@ -32,6 +32,8 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import eigsh
 
+from .model import _stream
+
 ZERO_ROW_TOL = 1e-12
 SYMMETRY_TOL = 1e-8
 
@@ -70,7 +72,7 @@ _EIGSH_RNG = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
 
 def _start_vector(n):
     """Fixed Lanczos start vector: ARPACK would otherwise draw a random one."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(0))).uniform(-1.0, 1.0, n)
+    return _stream(0).uniform(-1.0, 1.0, n)
 
 
 def _order_by_magnitude(vals, K):
@@ -137,7 +139,8 @@ def top_k_eigs(M, K):
                          f"the first ({i},{j}) = {M[i, j]}")
     if scale == 0:
         raise ValueError(f"matrix is all zero ({n}x{n}): its leading eigenvectors are undefined")
-    if abs(M - M.T).max() > SYMMETRY_TOL * scale:
+    # M - M.T is antisymmetric, so its max is its max |entry|, with no |.| temporary
+    if (M - M.T).max() > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     if not 1 <= K <= n:
         raise ValueError(f"K={K} out of range for n={n}")

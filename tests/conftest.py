@@ -1,12 +1,14 @@
 import importlib.util
+import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from spectralmix import harness, model
+from spectralmix import harness
 
 _SPEC = importlib.util.spec_from_file_location(
     "make_datasets", Path(__file__).resolve().parent.parent / "scripts" / "make_datasets.py")
@@ -62,13 +64,8 @@ def random_ground_truth(rng, n, K, pure_frac_min=0.4, p_low=-0.3, p_high=0.5):
 def sweep_draw(cfg, rho, rep):
     """The adjacency and estimator seed ``harness.run_sweep`` uses for
     replicate ``rep`` at grid point ``rho``."""
-    s_theta, s_adj, s_est = harness._replicate_seeds(cfg.master_seed,
-                                                     (cfg.rho_grid.index(rho), rep))
-    theta = model.make_theta(cfg.n, rho, cfg.theta_rule, seed=s_theta)
-    omega = model.build_omega(cfg.block_matrix(), cfg.membership(), theta)
-    A = model.sample_adjacency(omega, cfg.edge_distribution(), seed=s_adj,
-                               keep_self_loops=cfg.keep_self_loops)
-    return A, s_est
+    return harness.draw_replicate(cfg, cfg.rho_grid.index(rho), rep, cfg.block_matrix(),
+                                  cfg.membership(), cfg.edge_distribution())
 
 
 def spearman_rho_vs_error(sweep, method="scd"):
@@ -77,3 +74,37 @@ def spearman_rho_vs_error(sweep, method="scd"):
     means = [sweep.table[(method, rho)]["mean"] for rho in rhos]
     corr, _ = spearmanr(rhos, means)
     return float(corr)
+
+
+SCALING_FLATNESS_FACTOR = 3.0
+
+
+@dataclass
+class ScalingReport:
+    rhos: list
+    mean_errors: list
+    normalized: list
+    spread_factor: float
+    flat: bool
+    n: int
+
+
+def scaling_check(cfg, method="scd"):
+    """Error-rate scaling against the sqrt(log n / (rho n)) reference.
+
+    Runs the sweep, multiplies each mean error by sqrt(rho n)/sqrt(log n),
+    and flags failure when the normalized values spread by more than a
+    factor of SCALING_FLATNESS_FACTOR across the valid grid.
+    """
+    if cfg.distribution["kind"] not in ("bernoulli", "poisson"):
+        raise ValueError("scaling check applies to the sparsity-controlled families "
+                         "(bernoulli, poisson)")
+    sweep = harness.run_sweep(cfg)
+    rhos = sweep.valid_grid()
+    means = [sweep.table[(method, rho)]["mean"] for rho in rhos]
+    norm = [m * math.sqrt(rho * cfg.n) / math.sqrt(math.log(cfg.n))
+            for m, rho in zip(means, rhos)]
+    spread = max(norm) / min(norm) if min(norm) > 0 else math.inf
+    return ScalingReport(rhos=rhos, mean_errors=means, normalized=norm,
+                         spread_factor=float(spread),
+                         flat=spread <= SCALING_FLATNESS_FACTOR, n=cfg.n)

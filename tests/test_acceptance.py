@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import polblogs_path, random_ground_truth, spearman_rho_vs_error
+from conftest import polblogs_path, random_ground_truth, scaling_check, spearman_rho_vs_error
 from spectralmix import harness, metrics, model, netio
 from spectralmix.estimators import dfsp, ideal_scd, scd
 
@@ -192,7 +192,7 @@ class TestCriterion8RateFlatness:
         cfg = harness.experiment_config(2, replicates=50, master_seed=11)
         cfg.rho_grid = [0.25, 0.5, 1.0]
         cfg.methods = ("scd",)
-        rep = harness.scaling_check(cfg, method="scd")
+        rep = scaling_check(cfg, method="scd")
         ok = rep.spread_factor <= 3.0
         report(8, ok, f"normalized errors {['%.3f' % v for v in rep.normalized]} "
                       f"spread x{rep.spread_factor:.2f}")

@@ -55,6 +55,39 @@ def test_simulate_command(tmp_path):
     assert "scd" in summary["methods"]
 
 
+def simulate(tmp_path, capsys, cfg, name, *extra):
+    """Run ``spectralmix simulate`` on ``cfg``; returns its stdout, the rows
+    of its sweep.csv without the timing column, and its summary.json."""
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(cfg.to_json())
+    out = tmp_path / name
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+    rows = [row[:-1] for row in csv.reader((out / "sweep.csv").read_text().splitlines())]
+    return capsys.readouterr().out, rows, (out / "summary.json").read_text()
+
+
+def test_simulate_seed_overrides_master_seed(tmp_path, capsys):
+    cfg = harness.experiment_config(2, n=80, n0=8, replicates=2, master_seed=0)
+    cfg.rho_grid = [0.5, 1.0]
+    overridden = simulate(tmp_path, capsys, cfg, "overridden", "--seed", "5")[1:]
+    unseeded = simulate(tmp_path, capsys, cfg, "unseeded")[1:]
+    cfg.master_seed = 5
+    seeded = simulate(tmp_path, capsys, cfg, "seeded")[1:]
+    assert overridden == seeded
+    assert overridden[0] != unseeded[0]
+
+
+def test_simulate_reports_skipped_cell(tmp_path, capsys):
+    # at rho = 1.2 the pure-pair bernoulli mean is 1.2**2 = 1.44 > 1
+    cfg = harness.experiment_config(2, n=80, n0=8, replicates=2)
+    cfg.rho_grid = [0.5, 1.2]
+    stdout, rows, summary = simulate(tmp_path, capsys, cfg, "skipped")
+    assert "skipped rho=1.2: bernoulli means would reach 1.44, outside [0, 1]\n" in stdout
+    assert {row[1] for row in rows[1:]} == {"0.5"}
+    assert json.loads(summary)["invalid"] == {"1.2": "bernoulli means would reach 1.44, "
+                                                     "outside [0, 1]"}
+
+
 def test_simulate_malformed_config_exits_2(tmp_path, capsys):
     raw = json.loads(harness.experiment_config(1, replicates=1).to_json())
     del raw["mixed_profiles"]

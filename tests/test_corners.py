@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -544,3 +545,26 @@ class TestSpaCorners:
         U = np.vstack([np.ones((4, 2))])
         with pytest.raises(EstimationError, match="rank"):
             spa_corners(U, 2)
+
+
+class TestBoundaryErrors:
+    CASES = {
+        "kmeans-fewer-points-than-k": (lambda: spherical_kmeans(np.eye(2), 3, seed=0),
+                                       ValueError, "need at least K=3 points, got 2"),
+        "fewer-rows-than-k": (lambda: svm_cone_corners(row_normalize(np.eye(2)), 3, seed=0),
+                              EstimationError, "cannot find 3 corners among 2 rows"),
+        "too-few-usable-rows": (
+            lambda: svm_cone_corners(row_normalize([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), 2,
+                                     seed=0),
+            EstimationError, "only 1 non-degenerate rows but K=2; try a smaller K"),
+        "spa-k-above-n": (lambda: spa_corners(np.eye(3), 4), ValueError,
+                          "K=4 out of range for 3 rows"),
+        "spa-k-zero": (lambda: spa_corners(np.eye(3), 0), ValueError,
+                       "K=0 out of range for 3 rows"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_raises_named_error(self, case):
+        call, error, message = self.CASES[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

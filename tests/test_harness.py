@@ -7,13 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from spectralmix import corners, estimators, harness, model, spectral
+from conftest import SCALING_FLATNESS_FACTOR, scaling_check, sweep_draw
+from spectralmix import corners, estimators, harness, metrics, model, spectral
 from spectralmix.harness import (
     ExperimentConfig,
     experiment_config,
     run_setup_replicates,
     run_sweep,
-    scaling_check,
     setup_config,
 )
 
@@ -58,6 +58,17 @@ class TestRunSweep:
         for rho in short.valid_grid():
             assert long.table[("scd", rho)]["errors"][:2] == short.table[("scd", rho)]["errors"]
 
+    def test_errors_are_fits_of_the_drawn_replicates(self):
+        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5})
+        sweep = run_sweep(cfg)
+        for rho in cfg.rho_grid:
+            for rep in range(cfg.replicates):
+                A, seed = sweep_draw(cfg, rho, rep)
+                for method in cfg.methods:
+                    fit = estimators.estimate(method, A, cfg.K, seed=seed)
+                    error = metrics.l1_error_rate(fit.Pi_hat, cfg.membership()).l1_rate
+                    assert sweep.table[(method, rho)]["errors"][rep] == error
+
     def test_mean_is_arithmetic_average(self):
         sweep = run_sweep(tiny_config(distribution={"kind": "normal", "variance": 1.0},
                                       replicates=3))
@@ -93,8 +104,7 @@ class TestRunSweep:
     def test_linalg_failure_on_one_replicate(self, monkeypatch, tmp_path):
         cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
         clean = run_sweep(cfg)
-        first = {harness._replicate_seeds(cfg.master_seed, (gi, 0))[2]
-                 for gi in range(len(cfg.rho_grid))}
+        first = {sweep_draw(cfg, rho, 0)[1] for rho in cfg.rho_grid}
         real_dfsp = estimators.ESTIMATORS["dfsp"]
 
         def fails_on_replicate_zero(A, K, seed=0, pair=None):
@@ -249,6 +259,15 @@ class TestExperimentConfigs:
         with pytest.raises(ValueError):
             experiment_config(5)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(exp_id=5), "experiment id must be 1, 2, 3 or 4"),
+        (dict(exp_id=1, n=130, n0=40),
+         "n=130 does not split into 3*40 pure plus 4 equal mixed groups"),
+    ], ids=["bad-id", "uneven-mixed-groups"])
+    def test_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            experiment_config(**kwargs)
+
     def test_n_below_the_pure_rows(self):
         # n - 3*n0 = -20 splits into four groups of -5
         with pytest.raises(ValueError, match=re.escape("n=100 is below the 3*40 = 120 pure rows")):
@@ -333,7 +352,7 @@ class TestScalingCheck:
         for norm, mean, rho in zip(report.normalized, report.mean_errors, report.rhos):
             expected = mean * np.sqrt(rho * cfg.n) / np.sqrt(np.log(cfg.n))
             assert norm == pytest.approx(expected, abs=1e-12)
-        assert report.flat == (report.spread_factor <= harness.SCALING_FLATNESS_FACTOR)
+        assert report.flat == (report.spread_factor <= SCALING_FLATNESS_FACTOR)
 
     def test_rejects_unbounded_noise_families(self):
         with pytest.raises(ValueError, match="bernoulli"):

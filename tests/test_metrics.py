@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ class TestMisclusterCount:
     def test_k_mismatch(self):
         with pytest.raises(ValueError):
             miscluster_count(np.array([1, 5]), np.array([1, 2]), K=2)
+
+    @pytest.mark.parametrize("hat,true,message", [
+        ([1, 5], [1, 2], "labels exceed K"),
+        ([1, 2], [1, 2, 1], "label vectors differ in length"),
+    ], ids=["k-mismatch", "length-mismatch"])
+    def test_bad_labels_named(self, hat, true, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            miscluster_count(np.array(hat), np.array(true), K=2)
 
     def test_exhaustive_matches_assignment(self):
         rng = np.random.default_rng(4)

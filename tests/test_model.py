@@ -9,6 +9,9 @@ from spectralmix.model import (
     InvariantError,
     SupportError,
     build_omega,
+    check_block_matrix,
+    check_membership,
+    check_theta,
     make_synthetic_membership,
     make_theta,
     sample_adjacency,
@@ -287,3 +290,34 @@ class TestEdgeDistribution:
         with pytest.raises(SupportError, match=rf"{kind} mean at \(0,1\) is nan"):
             sample_adjacency(omega, dist, seed=0)
 
+
+
+class TestBoundaryErrors:
+    CASES = {
+        "membership-1d": (lambda: check_membership(np.ones(3)), InvariantError,
+                          "membership matrix must be 2-d"),
+        "membership-negative": (lambda: check_membership([[1.5, -0.5], [0.0, 1.0]]),
+                                InvariantError, "membership entry (0,1)=-0.5 is negative"),
+        "membership-rank-deficient": (
+            lambda: check_membership([[1.0, 0.0], [1.0, 0.0]]), InvariantError,
+            "membership matrix is rank deficient (sigma_K/sigma_1 = 0)"),
+        "block-not-square": (lambda: check_block_matrix(np.ones((2, 3))), InvariantError,
+                             "block matrix must be square"),
+        "block-rank-deficient": (lambda: check_block_matrix(np.ones((2, 2))), InvariantError,
+                                 "block matrix is rank deficient"),
+        "theta-empty": (lambda: check_theta([]), InvariantError, "theta is empty"),
+        "block-size-mismatch": (lambda: build_omega(np.eye(3), np.eye(2), np.ones(2)),
+                                InvariantError,
+                                "block matrix is 3x3 but membership has 2 columns"),
+        "omega-not-square": (lambda: sample_adjacency(np.zeros((2, 3)),
+                                                      EdgeDistribution("bernoulli"), seed=0),
+                             ValueError, "omega must be square"),
+        "unknown-theta-rule": (lambda: make_theta(5, 1.0, rule="bogus"), ValueError,
+                               "unknown theta rule 'bogus'"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_raises_named_error(self, case):
+        call, error, message = self.CASES[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -649,3 +651,85 @@ class TestFitNetwork:
         labels.write_text("a 1\nb 1\nc 2\na 2\n")
         with pytest.raises(ParseError, match=r"labels\.tsv:4: node id 'a' labelled twice"):
             load_labels(labels, load_edge_list(net).ids)
+
+
+class TestLabelsAfterLargestComponent:
+    def test_labels_follow_the_kept_nodes(self, tmp_path):
+        # an isolated node declared first and a separate pair are cut; the
+        # kept four-cycle is declared out of order
+        value = {"iso": 2, "d": 1, "b": 2, "p": 2, "a": 1, "q": 1, "c": 2}
+        nodes = "".join(f'node [ id {i} label "{name}" value {value[name]} ] '
+                        for i, name in enumerate(value, 1))
+        ids = {name: i for i, name in enumerate(value, 1)}
+        links = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("p", "q")]
+        edges = "".join(f"edge [ source {ids[u]} target {ids[v]} ] " for u, v in links)
+        path = tmp_path / "labelled.gml"
+        path.write_text(f"graph [ {nodes}{edges}]\n")
+        net = load_edge_list(path, format="gml_like", largest_component=True)
+        assert net.ids == ["d", "b", "a", "c"] and net.removed_nodes == 3
+        assert net.labels.tolist() == [value[x] for x in net.ids]
+
+
+class TestSkippedLines:
+    """Blank and comment lines are skipped, and still counted in line numbers."""
+
+    READERS = {
+        "whitespace": ("# header\n\na b 2\n# note\nb c\n", "a b 2\n\n# note\nb c 3 4\n",
+                       ":4: expected 'u v [weight]'"),
+        "pajek": ("% header\n*Vertices 2\n\n1 a\n% note\n2 b\n*Edges\n1 2 2\n",
+                  "*Vertices 2\n1 a\n\n% note\n*Edges\n1\n",
+                  ":6: bad edge line '1'"),
+        "labels": ("# header\na 1\n\n# note\nb 2\n", "a 1\n\n# note\nb 2 3\n",
+                   ":4: expected 'id label'"),
+    }
+
+    @staticmethod
+    def read(reader, path):
+        if reader == "labels":
+            return load_labels(path, ["a", "b"])
+        return load_edge_list(path, format="pajek_like" if reader == "pajek"
+                              else "whitespace_triplets")
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_skipped(self, tmp_path, reader):
+        good, _, _ = self.READERS[reader]
+        path = tmp_path / "good.txt"
+        path.write_text(good)
+        got = self.read(reader, path)
+        if reader == "labels":
+            assert got.tolist() == [1, 2]
+        else:
+            assert got.ids[:2] == ["a", "b"] and got.adjacency[0, 1] == 2.0
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_error_line_counts_skipped_lines(self, tmp_path, reader):
+        _, bad, message = self.READERS[reader]
+        path = tmp_path / "bad.txt"
+        path.write_text(bad + "more lines\n" * 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
+                self.read(reader, path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestBoundaryErrors:
+    # a one-field Pajek edge line and a three-field label line are
+    # TestSkippedLines' error cases
+    CASES = {
+        "unknown-format": (lambda path: load_edge_list(path, format="csv"), "a b\n", ValueError,
+                           "unknown format 'csv'; expected one of " + re.escape(str(FORMATS))),
+        "pajek-content-before-sections": (lambda path: load_edge_list(path, format="pajek_like"),
+                                          "1 2\n", ParseError,
+                                          re.escape(":1: content before any *Vertices/*Edges "
+                                                    "section")),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_raises_named_error(self, tmp_path, case):
+        call, text, error, message = self.CASES[case]
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
+            call(path)

@@ -185,8 +185,13 @@ class TestSparseInput:
         "stored-zeros-lanczos": (stored_zeros(4), 2, "all zero"),
         "stored-zeros-full-solve": (stored_zeros(4), 4, "all zero"),
         "asymmetric": (np.array([[1.0, 2.0], [0.0, 1.0]]), 1, "not symmetric"),
+        "asymmetric-lower-larger": (np.array([[1.0, 0.0], [2.0, 1.0]]), 1,
+                                    "^matrix is not symmetric within tolerance$"),
+        "asymmetric-negative": (np.array([[1.0, -2.0], [0.0, 1.0]]), 1,
+                                "^matrix is not symmetric within tolerance$"),
         "k-above-n": (np.eye(3), 4, "K=4 out of range"),
         "k-zero": (np.eye(3), 0, "K=0 out of range"),
+        "non-square": (np.ones((2, 3)), 1, "matrix must be square"),
     }
 
     @pytest.mark.parametrize("case", BOUNDARY)
@@ -197,6 +202,12 @@ class TestSparseInput:
             top_k_eigs(dense, K)
         with pytest.raises(ValueError, match=re.escape(str(dense_error.value)) + "$"):
             top_k_eigs(sparse, K)
+
+    def test_asymmetry_within_tolerance_passes(self):
+        M = np.diag([3.0, 2.0, 1.0, 0.5])
+        M[1, 2], M[2, 1] = 1.0, 1.0 + 1e-9
+        for given in (M, csr_matrix(M)):
+            assert top_k_eigs(given, 2).eigenvalues.size == 2
 
 
 def symmetric_pair_of_draws():
