@@ -9,7 +9,6 @@ formats.
 
 from .corners import (
     CornerSet,
-    MarginSolution,
     one_class_margin,
     spa_corners,
     spherical_kmeans,
@@ -40,8 +39,7 @@ from .spectral import NormalizedRows, SpectralPair, row_normalize, top_k_eigs, t
 __version__ = "0.1.0"
 
 __all__ = [
-    "CornerSet", "MarginSolution", "one_class_margin",
-    "spa_corners", "spherical_kmeans", "svm_cone_corners",
+    "CornerSet", "one_class_margin", "spa_corners", "spherical_kmeans", "svm_cone_corners",
     "EstimationError", "EstimationResult", "dfsp", "ideal_scd", "scd",
     "ExperimentConfig", "SweepResult", "experiment_config",
     "run_setup_replicates", "run_sweep", "setup_config",

@@ -109,7 +109,7 @@ def main(argv=None):
 
     p_setup = sub.add_parser("setup", help="run a canned demonstration set-up")
     p_setup.add_argument("--id", type=int, required=True, choices=sorted(harness.SETUP_PARAMS))
-    p_setup.add_argument("--reps", type=int, default=50)
+    p_setup.add_argument("--reps", type=int, default=harness.DEFAULT_REPLICATES)
     p_setup.add_argument("--seed", type=int, default=0)
     p_setup.add_argument("--out", default=None)
     p_setup.set_defaults(func=_cmd_setup)
@@ -126,7 +126,7 @@ def main(argv=None):
 
     p_scree = sub.add_parser("scree", help="singular values and suggested K")
     p_scree.add_argument("--file", required=True)
-    p_scree.add_argument("--top", type=int, default=15)
+    p_scree.add_argument("--top", type=int, default=netio.SCREE_TOP)
     _add_io_options(p_scree)
     p_scree.set_defaults(func=_cmd_scree)
 

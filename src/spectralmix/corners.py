@@ -15,8 +15,8 @@ are the rows of pure nodes. Two selection routes live here:
   to ``DELTA_MIN`` enter the k-means in row order, so the solver's last
   bits never order them. A non-pointed empirical
   hull (negative off-diagonal blocks under heavy noise) has no max-margin
-  solution, so it takes the successive-projection pick on the
-  degree-weighted rows instead.
+  solution, so ``one_class_margin`` returns ``None`` and the corners are
+  the successive-projection pick on the degree-weighted rows instead.
 * ``spa_corners`` is the classical successive-projection pick used by the
   separable-factorization baseline: repeatedly take the max-norm row and
   project the rest onto its orthocomplement.
@@ -42,20 +42,7 @@ FLOOR_FRAC = 0.25
 
 class EstimationError(RuntimeError):
     """No valid estimate for this input: the one fit-failure type, raised
-    here and in ``estimators``; carries a certificate when one exists."""
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
-
-
-@dataclass
-class MarginSolution:
-    """Minimum-norm vector w with w . y_i >= 1 for all rows y_i, plus the
-    per-row margins w . y_i."""
-
-    w: np.ndarray
-    row_margins: np.ndarray
+    here and in ``estimators``."""
 
 
 @dataclass
@@ -125,18 +112,19 @@ def _nnls(E, f, maxiter=None):
 
 
 def one_class_margin(points):
-    """Solve min ||w||^2 subject to w . y_i >= 1 over unit-norm rows y_i.
+    """Per-row margins w . y_i of the w minimizing ||w||^2 subject to
+    w . y_i >= 1 over unit-norm rows y_i, or ``None`` when the rows' hull
+    is not pointed.
 
     This is least-distance programming, solved exactly by one nonnegative
     least-squares problem (Lawson and Hanson, *Solving Least Squares
     Problems*, ch. 23): u >= 0 minimizing ||E u - e_{K+1}|| with
     E = [Y'; 1'], by the in-house ``_nnls`` in at most 3 least-squares
-    steps per row; more raise an ``EstimationError`` without a
-    certificate. A residual of at most ``HULL_TOL`` puts the origin in the
-    rows' convex hull, so the hull is not pointed and the problem has no
-    solution: that raises an ``EstimationError`` whose certificate is the
-    convex weights u / sum(u), with Y'u ~ 0. Otherwise, with residual r,
-    w = -r[:K] / r[K] and ||w||^2 = 1 / ||r||^2 - 1.
+    steps per row; more raise an ``EstimationError``. A residual of at most
+    ``HULL_TOL`` puts the origin in the rows' convex hull (u / sum(u) are
+    convex weights with Y'u ~ 0), so no w exists and the result is
+    ``None``. Otherwise, with residual r, w = -r[:K] / r[K] and
+    ||w||^2 = 1 / ||r||^2 - 1.
     """
     Y = np.asarray(points, dtype=float)
     norms = np.linalg.norm(Y, axis=1)
@@ -147,16 +135,9 @@ def one_class_margin(points):
     f[-1] = 1.0
     u, rnorm = _nnls(E, f)
     if rnorm <= HULL_TOL:
-        lam = u / u.sum()
-        raise EstimationError(
-            "no hyperplane through the origin separates the rows "
-            f"(convex weights with combination norm {np.linalg.norm(Y.T @ lam):.3g} "
-            "certify a non-pointed hull)",
-            certificate=lam,
-        )
+        return None
     r = E @ u - f
-    w = -r[:-1] / r[-1]
-    return MarginSolution(w=w, row_margins=Y @ w)
+    return Y @ (-r[:-1] / r[-1])
 
 
 def _kmeanspp_seed(X, K, rng):
@@ -257,8 +238,8 @@ def svm_cone_corners(normalized, K, seed):
     condition is checked only by the estimator that inverts it. Degenerate
     rows are never candidates.
 
-    When ``one_class_margin`` certifies that no hyperplane through the
-    origin separates the rows, there are no margins to rank, so the
+    When ``one_class_margin`` returns ``None``, no hyperplane through the
+    origin separates the rows and there are no margins to rank, so the
     corners are the successive-projection pick on the degree-weighted rows
     (unit rows times their pre-normalization norms), whose largest rows
     belong to the high-degree, least noisy nodes. That route reports every
@@ -273,11 +254,8 @@ def svm_cone_corners(normalized, K, seed):
         raise EstimationError(
             f"only {usable.size} non-degenerate rows but K={K}; try a smaller K")
     margins = np.full(n, np.inf)
-    try:
-        margins_u = one_class_margin(X[usable]).row_margins
-    except EstimationError as err:
-        if err.certificate is None:  # the solve stopped at its step bound
-            raise
+    margins_u = one_class_margin(X[usable])
+    if margins_u is None:
         margins[usable] = 0.0
         weighted = X[usable] * row_norms[usable, None]
         return CornerSet(indices=np.sort(usable[spa_corners(weighted, K).indices]),

@@ -83,7 +83,8 @@ class ExperimentConfig:
             if keys:
                 raise ValueError(f"experiment config has {label} field(s): {', '.join(sorted(keys))}")
         raw["mixed_profiles"] = [(tuple(p), int(c)) for p, c in raw["mixed_profiles"]]
-        raw["methods"] = tuple(raw.get("methods", ("scd", "dfsp")))
+        if "methods" in raw:
+            raw["methods"] = tuple(raw["methods"])
         return cls(**raw)
 
 
@@ -118,7 +119,7 @@ class SweepResult:
                     str(rho): {
                         "mean": self.table[(method, rho)]["mean"],
                         "std": self.table[(method, rho)]["std"],
-                        "failures": self.table[(method, rho)].get("failures", 0),
+                        "failures": self.table[(method, rho)]["failures"],
                     }
                     for rho in self.valid_grid()
                 }

@@ -307,13 +307,16 @@ def load_labels(path, ids):
     return _number_labels([raw[str(x)] for x in ids])
 
 
+SCREE_TOP = 15  # singular values a scree report lists by default
+
+
 @dataclass
 class ScreeReport:
     singular_values: np.ndarray
     suggested_k: int
 
 
-def scree_report(A, m=15):
+def scree_report(A, m=SCREE_TOP):
     """Top-m singular values plus the K suggested by the largest relative
     consecutive drop sigma_k / sigma_{k+1}. ``A`` is dense or scipy.sparse."""
     m = min(m, A.shape[0])

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -31,65 +30,73 @@ def pure_rows_of(Pi):
     return {k: set(np.where(np.abs(Pi[:, k] - 1.0) < 1e-12)[0]) for k in range(Pi.shape[1])}
 
 
-class TestOneClassMargin:
-    def test_identity_corners(self):
-        sol = one_class_margin(np.eye(3))
-        assert np.allclose(sol.w, [1, 1, 1], atol=1e-6)
-        assert np.allclose(sol.row_margins, 1.0, atol=1e-6)
-
-    def test_two_corners_plus_interior(self):
-        pts = np.array([[1.0, 0.0], [0.0, 1.0], [1 / np.sqrt(2), 1 / np.sqrt(2)]])
-        sol = one_class_margin(pts)
-        assert np.allclose(sol.w, [1.0, 1.0], atol=1e-6)
-        assert np.allclose(sol.row_margins[:2], 1.0, atol=1e-6)
-        assert sol.row_margins[2] == pytest.approx(np.sqrt(2), abs=1e-6)
-
-    def test_margins_at_least_one(self):
-        for seed in range(5):
-            normalized, _, _ = ideal_normalized(seed)
-            sol = one_class_margin(normalized.matrix)
-            assert np.all(sol.row_margins >= 1.0 - 1e-8)
-
-    def test_active_set_oracle(self):
-        # min-norm solution restricted to the active constraints has a closed
-        # form w = Ya' (Ya Ya')^-1 1; the solver must match it
-        normalized, _, _ = ideal_normalized(3, n=40, K=2)
-        sol = one_class_margin(normalized.matrix)
-        active = normalized.matrix[sol.row_margins <= 1.0 + 1e-6]
-        Ya = np.unique(np.round(active, 12), axis=0)
-        w_oracle, *_ = np.linalg.lstsq(Ya, np.ones(len(Ya)), rcond=None)
-        assert np.allclose(sol.w, w_oracle, atol=1e-5)
-
-    def test_minimal_margin_rows_are_pure(self):
-        for seed in range(5):
-            normalized, Pi, _ = ideal_normalized(seed + 20, n=50, K=3)
-            sol = one_class_margin(normalized.matrix)
-            low = np.where(sol.row_margins <= 1.0 + 1e-6)[0]
-            pure = set().union(*pure_rows_of(Pi).values())
-            assert set(low) <= pure
-            # every community contributes at least one minimal-margin row
-            for rows in pure_rows_of(Pi).values():
-                assert rows & set(low)
-
-    def test_infeasible_raises_with_certificate(self):
-        pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        with pytest.raises(EstimationError) as err:
-            one_class_margin(pts)
-        lam = err.value.certificate
-        assert lam is not None
-        assert np.linalg.norm(pts.T @ lam) < 1e-3
-
-    def test_requires_unit_rows(self):
-        with pytest.raises(ValueError, match="unit-norm"):
-            one_class_margin(np.array([[2.0, 0.0], [0.0, 1.0]]))
-
-
 def margin_problem(Y):
     """``one_class_margin``'s NNLS problem for the rows Y."""
     E = np.vstack([Y.T, np.ones(len(Y))])
     f = np.zeros(E.shape[0])
     f[-1] = 1.0
     return E, f
+
+
+def hull_certificate(Y):
+    """Convex weights on the rows Y, from ``one_class_margin``'s own NNLS
+    solve, whose combination Y'lam is the point of the hull nearest the
+    origin, and that solve's residual."""
+    u, rnorm = _nnls(*margin_problem(Y))
+    return u / u.sum(), rnorm
+
+
+class TestOneClassMargin:
+    def test_identity_corners(self):
+        # the rows have full rank, so the margins fix w = (1, 1, 1)
+        margins = one_class_margin(np.eye(3))
+        assert np.allclose(margins, 1.0, atol=1e-6)
+
+    def test_two_corners_plus_interior(self):
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [1 / np.sqrt(2), 1 / np.sqrt(2)]])
+        # the margins of w = (1, 1), which they fix as the rows have full rank
+        margins = one_class_margin(pts)
+        assert np.allclose(margins[:2], 1.0, atol=1e-6)
+        assert margins[2] == pytest.approx(np.sqrt(2), abs=1e-6)
+
+    def test_margins_at_least_one(self):
+        for seed in range(5):
+            normalized, _, _ = ideal_normalized(seed)
+            assert np.all(one_class_margin(normalized.matrix) >= 1.0 - 1e-8)
+
+    def test_active_set_oracle(self):
+        # min-norm solution restricted to the active constraints has a closed
+        # form w = Ya' (Ya Ya')^-1 1; the solver must match it
+        normalized, _, _ = ideal_normalized(3, n=40, K=2)
+        Y = normalized.matrix
+        margins = one_class_margin(Y)
+        Ya = np.unique(np.round(Y[margins <= 1.0 + 1e-6], 12), axis=0)
+        w_oracle, *_ = np.linalg.lstsq(Ya, np.ones(len(Ya)), rcond=None)
+        # Y has full column rank, so its margins fix w
+        assert np.linalg.matrix_rank(Y) == Y.shape[1]
+        w = np.linalg.lstsq(Y, margins, rcond=None)[0]
+        assert np.allclose(w, w_oracle, atol=1e-5)
+
+    def test_minimal_margin_rows_are_pure(self):
+        for seed in range(5):
+            normalized, Pi, _ = ideal_normalized(seed + 20, n=50, K=3)
+            low = np.where(one_class_margin(normalized.matrix) <= 1.0 + 1e-6)[0]
+            pure = set().union(*pure_rows_of(Pi).values())
+            assert set(low) <= pure
+            # every community contributes at least one minimal-margin row
+            for rows in pure_rows_of(Pi).values():
+                assert rows & set(low)
+
+    def test_non_pointed_hull_returns_none(self):
+        pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        assert one_class_margin(pts) is None
+        lam, rnorm = hull_certificate(pts)
+        assert rnorm <= HULL_TOL
+        assert np.linalg.norm(pts.T @ lam) < 1e-3
+
+    def test_requires_unit_rows(self):
+        with pytest.raises(ValueError, match="unit-norm"):
+            one_class_margin(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
 @pytest.fixture(scope="module")
@@ -212,10 +219,11 @@ class TestScipyNnlsReference:
         solve = corners.one_class_margin
 
         def jittered(points):
-            sol = solve(points)
-            ulps = np.random.default_rng(0).integers(-4, 5, size=sol.row_margins.size)
-            return dataclasses.replace(
-                sol, row_margins=sol.row_margins * (1 + ulps * np.finfo(float).eps))
+            margins = solve(points)
+            if margins is None:
+                return None
+            ulps = np.random.default_rng(0).integers(-4, 5, size=margins.size)
+            return margins * (1 + ulps * np.finfo(float).eps)
 
         monkeypatch.setattr(corners, "one_class_margin", jittered)
         for (_, pair, K, seed), want in zip(margin_draws, exact):
@@ -436,9 +444,9 @@ class TestSvmConeCorners:
         usable = np.setdiff1d(np.arange(80), normalized.degenerate)
         assert usable.size == 14
         Y = normalized.matrix[usable]
-        with pytest.raises(EstimationError) as err:
-            one_class_margin(Y)
-        lam = err.value.certificate
+        assert one_class_margin(Y) is None
+        lam, rnorm = hull_certificate(Y)
+        assert rnorm <= HULL_TOL
         assert lam.min() >= 0 and lam.sum() == pytest.approx(1.0)
         assert np.linalg.norm(Y.T @ lam) < 1e-12
         cs = svm_cone_corners(normalized, 3, seed=5)
@@ -457,10 +465,10 @@ class TestSvmConeCorners:
         A, s_est = sweep_draw(cfg, rho, 0)
         normalized = row_normalize(top_k_eigs(A, cfg.K).U)
         assert not normalized.degenerate
-        sol = one_class_margin(normalized.matrix)
-        assert sol.row_margins.min() >= 1.0 - 1e-9
+        margins = one_class_margin(normalized.matrix)
+        assert margins.min() >= 1.0 - 1e-9
         cs = svm_cone_corners(normalized, cfg.K, seed=s_est)
-        assert np.allclose(cs.margins, sol.row_margins)
+        assert np.allclose(cs.margins, margins)
         assert cs.candidates.size < A.shape[0]
         assert sorted(set(cs.cluster_assignments.tolist())) == list(range(cfg.K))
 

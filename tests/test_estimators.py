@@ -61,6 +61,16 @@ class TestIdealScd:
         with pytest.raises(EstimationError, match="rank"):
             ideal_scd(omega, K - 1)
 
+    def test_negative_corner_spectrum_rejected(self):
+        # negating a rank-K expectation matrix negates its corner-spectrum
+        # diagonal: the oracle does not clamp it, it refuses the input
+        cfg = harness.experiment_config(2, n=80, n0=8)
+        theta = model.make_theta(80, 1.0, seed=3)
+        omega = model.build_omega(cfg.block_matrix(), cfg.membership(), theta)
+        with pytest.raises(EstimationError, match="corner-spectrum diagonal has negative "
+                                                  "entries; input is not an exact rank-K"):
+            ideal_scd(-omega, 3)
+
 
 class TestScd:
     def test_noiseless_matches_ideal(self):
