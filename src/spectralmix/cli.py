@@ -50,7 +50,7 @@ def _cmd_setup(args):
             "errors": [float(e) for e in errs],
         }
         print(f"setup {args.id} {method}: mean error {np.mean(errs):.4f} "
-              f"(std {np.std(errs):.4f}, {args.reps} draws)")
+              f"(std {np.std(errs):.4f}, {len(errs)} draws)")
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         with open(Path(args.out) / f"setup{args.id}.json", "w") as fh:

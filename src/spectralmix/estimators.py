@@ -60,8 +60,9 @@ def _corner_block_inverse(B, what):
     return np.linalg.inv(B)
 
 
-def _reconstruct(U, lam, Ustar, corner_idx, clamp):
-    """Z = U B^{-1} sqrt(diag(B Lambda B')) for corner rows B = Ustar[corners].
+def _reconstruct(U, lam, Ustar, corner_idx):
+    """Z = U B^{-1} sqrt(diag(B Lambda B')) for corner rows B = Ustar[corners],
+    and the count of negative diagonals clamped to zero.
 
     A diagonal with |d_k| <= DIAG_REL_TOL * sum_j B_kj^2 |lambda_j| is
     rounding noise around zero (an eigenvalue pair +l, -l weighed equally
@@ -71,15 +72,8 @@ def _reconstruct(U, lam, Ustar, corner_idx, clamp):
     B = Ustar[corner_idx]
     d = np.einsum("ij,j,ij->i", B, lam, B)
     d[np.abs(d) <= DIAG_REL_TOL * np.einsum("ij,j,ij->i", B, np.abs(lam), B)] = 0.0
-    clamped = int(np.sum(d < 0))
-    if clamp:
-        d = np.maximum(d, 0.0)
-    elif clamped:
-        raise EstimationError(
-            "corner-spectrum diagonal has negative entries; input is not an exact "
-            "rank-K expectation matrix")
-    Z = U @ _corner_block_inverse(B, "row-normalized") @ np.diag(np.sqrt(d))
-    return Z, clamped
+    Z = U @ _corner_block_inverse(B, "row-normalized") @ np.diag(np.sqrt(np.maximum(d, 0.0)))
+    return Z, int(np.sum(d < 0))
 
 
 def _rows_to_simplex(Z, K):
@@ -111,8 +105,11 @@ def ideal_scd(omega, K, seed=0):
     pair = _spectral.top_k_eigs(omega, K)
     normalized = _spectral.row_normalize(pair.U)
     corner_set = _corners.svm_cone_corners(normalized, K, seed)
-    Z, _ = _reconstruct(pair.U, pair.eigenvalues, normalized.matrix,
-                        corner_set.indices, clamp=False)
+    Z, clamped = _reconstruct(pair.U, pair.eigenvalues, normalized.matrix, corner_set.indices)
+    if clamped:
+        raise EstimationError(
+            "corner-spectrum diagonal has negative entries; input is not an exact "
+            "rank-K expectation matrix")
     Pi_hat, degenerate = _rows_to_simplex(Z, K)
     return EstimationResult(Pi_hat=Pi_hat, corner_set=corner_set, Z=Z,
                             degenerate_rows=degenerate, method="ideal_scd")
@@ -130,8 +127,7 @@ def scd(A, K, seed=0, pair=None):
         pair = _spectral.top_k_eigs(A, K)
     normalized = _spectral.row_normalize(pair.U)
     corner_set = _corners.svm_cone_corners(normalized, K, seed)
-    Z, clamped = _reconstruct(pair.U, pair.eigenvalues, normalized.matrix,
-                              corner_set.indices, clamp=True)
+    Z, clamped = _reconstruct(pair.U, pair.eigenvalues, normalized.matrix, corner_set.indices)
     Z = np.maximum(Z, 0.0)
     Pi_hat, degenerate = _rows_to_simplex(Z, K)
     degenerate = sorted(set(degenerate) | set(normalized.degenerate))

@@ -2,8 +2,9 @@
 four canonical small demonstration set-ups.
 
 Replicate seeds derive from (master_seed, grid index, replicate index)
-through named seed sequences, so a sweep is reproducible bit-for-bit and
-replicates can run in any order.
+through one seed sequence, so a sweep is reproducible bit-for-bit and
+replicates can run in any order. A set-up is a one-point sweep and runs
+through the same replicate loop.
 
 Every draw goes through one spectral stage: ``spectral.top_k_eigs`` runs
 once on the draw's adjacency, and the resulting ``SpectralPair`` is handed
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -141,9 +142,14 @@ def _support_violation(core_min, core_max, rho, dist):
     return None
 
 
-def _replicate_seeds(master_seed, tags):
-    ss = np.random.SeedSequence([int(master_seed), *[int(t) for t in tags]])
-    return [int(s) for s in ss.generate_state(3, dtype=np.uint64)]
+def _off_diagonal_range(Pi, P):
+    """Least and greatest pi_i' P pi_j over node pairs i != j, from the
+    distinct membership rows: a row pairs with itself only where two nodes
+    hold it."""
+    rows, counts = np.unique(Pi, axis=0, return_counts=True)
+    core = rows @ P @ rows.T
+    pairs = ~np.eye(len(rows), dtype=bool) | np.diag(counts > 1)
+    return float(core[pairs].min()), float(core[pairs].max())
 
 
 def draw_replicate(cfg, gi, rep, P, Pi, dist):
@@ -151,7 +157,8 @@ def draw_replicate(cfg, gi, rep, P, Pi, dist):
     the seed its estimators take. ``P``, ``Pi`` and ``dist`` are the
     config's block matrix, membership and edge distribution, built once per
     sweep by the caller."""
-    s_theta, s_adj, s_est = _replicate_seeds(cfg.master_seed, (gi, rep))
+    ss = np.random.SeedSequence([int(cfg.master_seed), int(gi), int(rep)])
+    s_theta, s_adj, s_est = (int(s) for s in ss.generate_state(3, dtype=np.uint64))
     theta = _model.make_theta(cfg.n, cfg.rho_grid[gi], cfg.theta_rule, seed=s_theta)
     omega = _model.build_omega(P, Pi, theta)
     A = _model.sample_adjacency(omega, dist, seed=s_adj, keep_self_loops=cfg.keep_self_loops)
@@ -176,9 +183,7 @@ def run_sweep(cfg, progress=None):
     Pi = cfg.membership()
     P = cfg.block_matrix()
     dist = cfg.edge_distribution()
-    core = Pi @ P @ Pi.T
-    off = ~np.eye(cfg.n, dtype=bool)
-    core_min, core_max = float(core[off].min()), float(core[off].max())
+    core_min, core_max = _off_diagonal_range(Pi, P)
 
     table = {}
     invalid = {}
@@ -290,26 +295,18 @@ def setup_config(setup_id):
 
 
 def run_setup_replicates(setup_id, reps=DEFAULT_REPLICATES, master_seed=0):
-    """Fit each method to fresh draws of a set-up; returns per-method error
-    arrays. Draw ``rep`` is seeded by ``master_seed + rep`` and eigensolved
-    once for all methods, as in ``run_sweep``; a failed fit raises.
+    """Fit each method to ``reps`` fresh draws of a set-up; returns each
+    method's error array.
 
-    Because the seed is ``master_seed + rep``, consecutive master seeds
-    share draws: seed s + 1 repeats draws 1..reps-1 of seed s as its draws
-    0..reps-2. Runs at nearby seeds are therefore not independent."""
+    The set-up runs as the one-point sweep ``setup_config(setup_id)`` with
+    ``reps`` replicates at ``master_seed``, so its draws are seeded as a
+    sweep's and a failed fit is left out of its method's array. A method
+    that fails on every draw raises ``EstimationError``."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    cfg = setup_config(setup_id)
-    Pi = cfg.membership()
-    theta = _model.make_theta(cfg.n, cfg.rho_grid[0], cfg.theta_rule)
-    omega = _model.build_omega(cfg.block_matrix(), Pi, theta)
-    dist = cfg.edge_distribution()
-    errors = {m: [] for m in cfg.methods}
-    for rep in range(reps):
-        s_adj, s_est, _ = _replicate_seeds(master_seed + rep, (setup_id,))
-        A = _model.sample_adjacency(omega, dist, seed=s_adj)
-        pair = _spectral.top_k_eigs(A, cfg.K)
-        for method in cfg.methods:
-            result = _estimators.estimate(method, A, cfg.K, seed=s_est, pair=pair)
-            errors[method].append(_metrics.l1_error_rate(result.Pi_hat, Pi).l1_rate)
-    return {m: np.array(v) for m, v in errors.items()}
+    cfg = replace(setup_config(setup_id), replicates=reps, master_seed=master_seed)
+    sweep = run_sweep(cfg)
+    rho = cfg.rho_grid[0]
+    if rho in sweep.invalid:
+        raise _estimators.EstimationError(f"set-up {setup_id}: {sweep.invalid[rho]}")
+    return {m: np.array(sweep.table[(m, rho)]["errors"]) for m in cfg.methods}

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import spectralmix
-from spectralmix import corners, harness
+from conftest import sweep_draw
+from spectralmix import corners, estimators, harness
 from spectralmix.cli import main
 
 
@@ -38,6 +40,23 @@ def test_setup_command(tmp_path, capsys):
     payload = json.loads((tmp_path / "setup1.json").read_text())
     assert set(payload) == {"scd", "dfsp"}
     assert len(payload["scd"]["errors"]) == 2
+
+
+def test_setup_reports_the_draws_it_scored(monkeypatch, capsys):
+    cfg = dataclasses.replace(harness.setup_config(1), replicates=2, master_seed=0)
+    failing = sweep_draw(cfg, cfg.rho_grid[0], 0)[1]
+    real_dfsp = estimators.ESTIMATORS["dfsp"]
+
+    def fails_on_draw_zero(A, K, seed=0, pair=None):
+        if seed == failing:
+            raise estimators.EstimationError("corner block is singular")
+        return real_dfsp(A, K, seed=seed, pair=pair)
+
+    monkeypatch.setitem(estimators.ESTIMATORS, "dfsp", fails_on_draw_zero)
+    assert main(["setup", "--id", "1", "--reps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("setup 1 scd:") and lines[0].endswith(", 2 draws)")
+    assert lines[1].startswith("setup 1 dfsp:") and lines[1].endswith(", 1 draws)")
 
 
 def test_simulate_command(tmp_path):

@@ -207,6 +207,41 @@ class TestRunSweep:
         assert set(summary["methods"]) == {"scd", "dfsp"}
 
 
+class TestSupportScreen:
+    """``run_sweep`` screens each grid point on the range of pi_i' P pi_j
+    over node pairs i != j, taken from the distinct membership rows."""
+
+    @staticmethod
+    def n_by_n_range(Pi, P):
+        core = Pi @ P @ Pi.T
+        off = ~np.eye(len(Pi), dtype=bool)
+        return float(core[off].min()), float(core[off].max())
+
+    @pytest.mark.parametrize("cfg", [
+        *(experiment_config(e, n=80, n0=8) for e in (1, 2, 3, 4)),
+        *(setup_config(s) for s in (1, 2, 3, 4)),
+        tiny_config(mixed_profiles=[((0.6, 0.4), 1), ((0.5, 0.5), 11)]),
+    ], ids=[*(f"experiment{e}" for e in (1, 2, 3, 4)), *(f"setup{s}" for s in (1, 2, 3, 4)),
+            "lone-mixed-row"])
+    def test_matches_the_n_by_n_range(self, cfg):
+        Pi, P = cfg.membership(), cfg.block_matrix()
+        assert harness._off_diagonal_range(Pi, P) == self.n_by_n_range(Pi, P)
+
+    def test_a_row_pairs_with_itself_only_when_two_nodes_hold_it(self):
+        # one node per row: the pure rows' 1.0 is never a pair's value
+        cfg = tiny_config(n=3, n0=1, mixed_profiles=[((0.9, 0.1), 1)], p_offdiag=-0.2)
+        Pi, P = cfg.membership(), cfg.block_matrix()
+        assert harness._off_diagonal_range(Pi, P) == self.n_by_n_range(Pi, P)
+        assert harness._off_diagonal_range(Pi, P) == pytest.approx((-0.2, 0.88), abs=1e-12)
+        # with pure rows present a mixed row's value with itself lies within
+        # its values with them, so rows without them show its screen: held
+        # twice, (0.9, 0.1) pairs with itself at 0.784; held once, it does not
+        for twice, expected in ((True, (0.4, 0.784)), (False, (0.4, 0.4))):
+            Pi = np.array([[0.9, 0.1]] * (1 + twice) + [[0.5, 0.5]])
+            assert harness._off_diagonal_range(Pi, P) == self.n_by_n_range(Pi, P)
+            assert harness._off_diagonal_range(Pi, P) == pytest.approx(expected, abs=1e-12)
+
+
 class TestExperimentConfigs:
     def test_grids_follow_the_four_families(self):
         e1 = experiment_config(1)
@@ -316,6 +351,46 @@ class TestSetups:
         b = run_setup_replicates(3, reps=3, master_seed=5)
         assert np.array_equal(a["scd"], b["scd"])
         assert a["scd"].shape == (3,)
+
+    def test_consecutive_seeds_share_no_draw(self):
+        # draws are seeded as a sweep's, from (master seed, 0, draw index),
+        # so seed 6 does not repeat seed 5's later draws
+        a = run_setup_replicates(3, reps=4, master_seed=5)
+        b = run_setup_replicates(3, reps=4, master_seed=6)
+        for method in a:
+            assert set(a[method]).isdisjoint(b[method])
+
+    def test_draws_are_the_one_point_sweep(self):
+        cfg = dataclasses.replace(setup_config(2), replicates=3, master_seed=4)
+        errors = run_setup_replicates(2, reps=3, master_seed=4)
+        sweep = run_sweep(cfg)
+        for method in cfg.methods:
+            assert errors[method].tolist() == sweep.table[(method, cfg.rho_grid[0])]["errors"]
+
+    def test_failed_fit_leaves_its_draw_out(self, monkeypatch):
+        cfg = dataclasses.replace(setup_config(3), replicates=3, master_seed=5)
+        clean = run_setup_replicates(3, reps=3, master_seed=5)
+        failing = sweep_draw(cfg, cfg.rho_grid[0], 1)[1]
+        real_dfsp = estimators.ESTIMATORS["dfsp"]
+
+        def fails_on_draw_one(A, K, seed=0, pair=None):
+            if seed == failing:
+                raise estimators.EstimationError("corner block is singular")
+            return real_dfsp(A, K, seed=seed, pair=pair)
+
+        monkeypatch.setitem(estimators.ESTIMATORS, "dfsp", fails_on_draw_one)
+        errors = run_setup_replicates(3, reps=3, master_seed=5)
+        assert np.array_equal(errors["scd"], clean["scd"])
+        assert np.array_equal(errors["dfsp"], np.delete(clean["dfsp"], 1))
+
+    def test_method_failing_on_every_draw_raises(self, monkeypatch):
+        def always_fails(A, K, seed=0, pair=None):
+            raise estimators.EstimationError("corner block is singular")
+
+        monkeypatch.setitem(estimators.ESTIMATORS, "dfsp", always_fails)
+        with pytest.raises(estimators.EstimationError,
+                           match=f"^{re.escape('set-up 2: dfsp failed on all 3 replicates')}$"):
+            run_setup_replicates(2, reps=3, master_seed=1)
 
     def test_bad_id(self):
         with pytest.raises(ValueError):
