@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,10 +20,15 @@ import numpy as np
 from . import estimators, harness, netio
 
 
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
 def _cmd_simulate(args):
     cfg = harness.ExperimentConfig.from_json(Path(args.config).read_text())
     if args.seed is not None:
-        cfg.master_seed = args.seed
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -32,7 +38,7 @@ def _cmd_simulate(args):
 
     sweep = harness.run_sweep(cfg, progress=progress)
     sweep.write_csv(out / "sweep.csv")
-    sweep.write_summary(out / "summary.json")
+    _write_json(out / "summary.json", sweep.summary())
     for rho, reason in sweep.invalid.items():
         print(f"skipped rho={rho:g}: {reason}")
     print(f"wrote {out / 'sweep.csv'} and {out / 'summary.json'}")
@@ -53,8 +59,7 @@ def _cmd_setup(args):
               f"(std {np.std(errs):.4f}, {len(errs)} draws)")
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        with open(Path(args.out) / f"setup{args.id}.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
+        _write_json(Path(args.out) / f"setup{args.id}.json", payload)
     return 0
 
 
@@ -69,13 +74,16 @@ def _cmd_fit(args):
     if args.labels is not None:
         network.labels = netio.load_labels(args.labels, network.ids)
     report = netio.fit_network(network, args.k, method=args.method, seed=args.seed)
-    print(json.dumps(report.summary(), indent=2))
+    summary = report.summary()
+    print(json.dumps(summary, indent=2))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report.write_csv(out / "memberships.csv")
         scree = netio.scree_report(network.adjacency)
-        netio.write_summary(report, out / "summary.json", scree=scree)
+        summary["scree"] = {"singular_values": scree.singular_values.tolist(),
+                            "suggested_k": scree.suggested_k}
+        _write_json(out / "summary.json", summary)
         print(f"wrote {out / 'memberships.csv'} and {out / 'summary.json'}")
     return 0
 

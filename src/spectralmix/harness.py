@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -31,14 +32,15 @@ DEFAULT_REPLICATES = 50
 
 @dataclass
 class ExperimentConfig:
-    """Sweep description: model layout, edge distribution, rho grid."""
+    """Sweep description: model layout, edge distribution, rho grid. Its
+    scalars, grid, family and methods are checked when built, by name."""
 
     n: int
     K: int
     n0: int
     mixed_profiles: list
     p_offdiag: float
-    distribution: dict
+    distribution: _model.EdgeDistribution
     rho_grid: list
     theta_rule: str = "uniform_half"
     replicates: int = DEFAULT_REPLICATES
@@ -47,10 +49,22 @@ class ExperimentConfig:
     keep_self_loops: bool = False
 
     def __post_init__(self):
-        if not self.rho_grid or any(r <= 0 for r in self.rho_grid):
-            raise ValueError("rho grid must be nonempty and positive")
+        for name in ("n", "K", "n0", "replicates", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer would not write to JSON
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not isinstance(self.keep_self_loops, bool):
+            raise ValueError(f"keep_self_loops must be true or false, got {self.keep_self_loops!r}")
+        if not self.rho_grid or not all(isinstance(r, numbers.Real) and 0 < r < np.inf
+                                        for r in self.rho_grid):
+            raise ValueError(f"rho grid must be nonempty, finite and positive, got {self.rho_grid}")
+        if not isinstance(self.distribution, _model.EdgeDistribution):
+            raise ValueError(f"distribution must be an EdgeDistribution, got {self.distribution!r}")
         unknown = [m for m in self.methods if m not in _estimators.ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown method(s) {', '.join(map(repr, unknown))}; "
@@ -65,14 +79,9 @@ class ExperimentConfig:
         profiles = [(np.asarray(p, dtype=float), int(c)) for p, c in self.mixed_profiles]
         return _model.make_synthetic_membership(self.n, self.K, self.n0, profiles)
 
-    def edge_distribution(self):
-        return _model.EdgeDistribution.from_config(self.distribution)
-
     def to_json(self):
-        payload = dict(self.__dict__)
-        payload["mixed_profiles"] = [[list(map(float, p)), int(c)] for p, c in self.mixed_profiles]
-        payload["methods"] = list(self.methods)
-        return json.dumps(payload, indent=2)
+        dist = {k: v for k, v in vars(self.distribution).items() if v is not None}
+        return json.dumps({**vars(self), "distribution": dist}, indent=2)
 
     @classmethod
     def from_json(cls, text):
@@ -83,6 +92,11 @@ class ExperimentConfig:
                             ("unknown", set(raw) - {f.name for f in fields(cls)})):
             if keys:
                 raise ValueError(f"experiment config has {label} field(s): {', '.join(sorted(keys))}")
+        dist = raw["distribution"]
+        if not (isinstance(dist, dict) and "kind" in dist and set(dist) <= {"kind", "variance"}):
+            raise ValueError(f"distribution must be an object of kind and optional variance, "
+                             f"got {json.dumps(dist)}")
+        raw["distribution"] = _model.EdgeDistribution(**dist)
         raw["mixed_profiles"] = [(tuple(p), int(c)) for p, c in raw["mixed_profiles"]]
         if "methods" in raw:
             raw["methods"] = tuple(raw["methods"])
@@ -128,10 +142,6 @@ class SweepResult:
             },
         }
 
-    def write_summary(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-
 
 def _support_violation(core_min, core_max, rho, dist):
     """Worst-case expectation range at scale rho against the family support."""
@@ -152,16 +162,16 @@ def _off_diagonal_range(Pi, P):
     return float(core[pairs].min()), float(core[pairs].max())
 
 
-def draw_replicate(cfg, gi, rep, P, Pi, dist):
+def draw_replicate(cfg, gi, rep, P, Pi):
     """Replicate ``rep`` at grid index ``gi`` of a sweep: its adjacency and
-    the seed its estimators take. ``P``, ``Pi`` and ``dist`` are the
-    config's block matrix, membership and edge distribution, built once per
-    sweep by the caller."""
+    the seed its estimators take. ``P`` and ``Pi`` are the config's block
+    matrix and membership, built once per sweep by the caller."""
     ss = np.random.SeedSequence([int(cfg.master_seed), int(gi), int(rep)])
     s_theta, s_adj, s_est = (int(s) for s in ss.generate_state(3, dtype=np.uint64))
     theta = _model.make_theta(cfg.n, cfg.rho_grid[gi], cfg.theta_rule, seed=s_theta)
     omega = _model.build_omega(P, Pi, theta)
-    A = _model.sample_adjacency(omega, dist, seed=s_adj, keep_self_loops=cfg.keep_self_loops)
+    A = _model.sample_adjacency(omega, cfg.distribution, seed=s_adj,
+                                keep_self_loops=cfg.keep_self_loops)
     return A, s_est
 
 
@@ -182,13 +192,12 @@ def run_sweep(cfg, progress=None):
     """
     Pi = cfg.membership()
     P = cfg.block_matrix()
-    dist = cfg.edge_distribution()
     core_min, core_max = _off_diagonal_range(Pi, P)
 
     table = {}
     invalid = {}
     for gi, rho in enumerate(cfg.rho_grid):
-        reason = _support_violation(core_min, core_max, rho, dist)
+        reason = _support_violation(core_min, core_max, rho, cfg.distribution)
         if reason:
             invalid[rho] = reason
             continue
@@ -196,7 +205,7 @@ def run_sweep(cfg, progress=None):
         seconds = {m: [] for m in cfg.methods}
         replicates = {m: [] for m in cfg.methods}
         for rep in range(cfg.replicates):
-            A, s_est = draw_replicate(cfg, gi, rep, P, Pi, dist)
+            A, s_est = draw_replicate(cfg, gi, rep, P, Pi)
             t0 = time.perf_counter()
             try:
                 pair = _spectral.top_k_eigs(A, cfg.K)
@@ -243,16 +252,16 @@ def experiment_config(exp_id, n=400, n0=40, replicates=DEFAULT_REPLICATES, maste
     family (negative for normal/signed, positive for bernoulli/poisson).
     """
     if exp_id == 1:
-        p, dist = -0.2, {"kind": "normal", "variance": 2.0}
+        p, dist = -0.2, _model.EdgeDistribution("normal", 2.0)
         grid = [round(0.1 * i, 10) for i in range(1, 21)]
     elif exp_id == 2:
-        p, dist = 0.2, {"kind": "bernoulli"}
+        p, dist = 0.2, _model.EdgeDistribution("bernoulli")
         grid = [round(0.1 * i, 10) for i in range(1, 11)]
     elif exp_id == 3:
-        p, dist = 0.2, {"kind": "poisson"}
+        p, dist = 0.2, _model.EdgeDistribution("poisson")
         grid = [round(0.2 * i, 10) for i in range(1, 11)]
     elif exp_id == 4:
-        p, dist = -0.2, {"kind": "signed"}
+        p, dist = -0.2, _model.EdgeDistribution("signed")
         grid = [round(0.1 * i, 10) for i in range(1, 11)]
     else:
         raise ValueError("experiment id must be 1, 2, 3 or 4")
@@ -270,10 +279,10 @@ def experiment_config(exp_id, n=400, n0=40, replicates=DEFAULT_REPLICATES, maste
 
 
 SETUP_PARAMS = {
-    1: dict(n=16, n0=6, rho=10.0, p_offdiag=-0.2, distribution={"kind": "normal", "variance": 1.0}),
-    2: dict(n=30, n0=10, rho=1.0, p_offdiag=0.2, distribution={"kind": "bernoulli"}),
-    3: dict(n=24, n0=8, rho=10.0, p_offdiag=0.2, distribution={"kind": "poisson"}),
-    4: dict(n=30, n0=12, rho=1.0, p_offdiag=-0.2, distribution={"kind": "signed"}),
+    1: dict(n=16, n0=6, rho=10.0, p_offdiag=-0.2, distribution=_model.EdgeDistribution("normal", 1.0)),
+    2: dict(n=30, n0=10, rho=1.0, p_offdiag=0.2, distribution=_model.EdgeDistribution("bernoulli")),
+    3: dict(n=24, n0=8, rho=10.0, p_offdiag=0.2, distribution=_model.EdgeDistribution("poisson")),
+    4: dict(n=30, n0=12, rho=1.0, p_offdiag=-0.2, distribution=_model.EdgeDistribution("signed")),
 }
 
 
@@ -289,7 +298,7 @@ def setup_config(setup_id):
     n, n0 = params["n"], params["n0"]
     return ExperimentConfig(
         n=n, K=2, n0=n0, mixed_profiles=[((0.7, 0.3), n - 2 * n0)],
-        p_offdiag=params["p_offdiag"], distribution=dict(params["distribution"]),
+        p_offdiag=params["p_offdiag"], distribution=params["distribution"],
         rho_grid=[params["rho"]], theta_rule="linear_ramp",
     )
 

@@ -81,15 +81,13 @@ def miscluster_count(labels_hat, labels_true, K):
         raise ValueError("label vectors differ in length")
     if labels_hat.max() > K or labels_true.max() > K:
         raise ValueError("labels exceed K")
-    n = labels_hat.size
-    agree = np.zeros((K, K))
-    for k in range(1, K + 1):
-        mask = labels_hat == k
-        for l in range(1, K + 1):
-            agree[k - 1, l - 1] = np.sum(mask & (labels_true == l))
-    cost = -agree
+    if labels_hat.min() < 1 or labels_true.min() < 1:
+        raise ValueError("labels must be at least 1")
+    # one-hot rows: a mislabelled node costs 2 in the membership matcher's L1
+    onehot = np.eye(K)
+    cost = _column_l1_costs(onehot[labels_hat - 1], onehot[labels_true - 1])
     total, perm = _min_perm(cost, exhaustive=K <= EXHAUSTIVE_K)
-    return int(n + total), perm
+    return int(total) // 2, perm
 
 
 def highly_mixed(Pi_hat):

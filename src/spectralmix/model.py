@@ -14,6 +14,7 @@ draw, and written straight into both triangles of the adjacency matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +129,8 @@ class EdgeDistribution:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown distribution {self.kind!r}; expected one of {self.KINDS}")
         if self.kind == "normal":
-            if self.variance is None or self.variance < 0:
-                raise ValueError("normal edge distribution needs a nonnegative variance")
+            if not (isinstance(self.variance, numbers.Real) and 0 <= self.variance < np.inf):
+                raise ValueError("normal edge distribution needs a finite nonnegative variance")
         elif self.variance is not None:
             raise ValueError(f"{self.kind} edge distribution takes no variance parameter")
 
@@ -165,10 +166,6 @@ class EdgeDistribution:
         if self.kind == "poisson":
             return rng.poisson(means).astype(float)
         return 2.0 * rng.binomial(1, (1.0 + means) / 2.0) - 1.0
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(kind=cfg["kind"], variance=cfg.get("variance"))
 
 
 def _stream(seed):

@@ -24,7 +24,6 @@ file sets ``network.labels = load_labels(path, network.ids)`` in between.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -381,20 +380,8 @@ def fit_network(network, K, method="scd", seed=0):
                        highly_mixed=mixed)
     if network.labels is not None and network.labels.max() == K:
         count, _ = _metrics.miscluster_count(labels_hat, network.labels, K=K)
-        onehot = np.zeros((network.n, K))
-        onehot[np.arange(network.n), network.labels - 1] = 1.0
+        onehot = np.eye(K)[network.labels - 1]
         report.miscluster_count = int(count)
         report.miscluster_rate = count / network.n
         report.label_l1_rate = _metrics.l1_error_rate(result.Pi_hat, onehot).l1_rate
     return report
-
-
-def write_summary(report, path, scree=None):
-    payload = report.summary()
-    if scree is not None:
-        payload["scree"] = {
-            "singular_values": [float(s) for s in scree.singular_values],
-            "suggested_k": scree.suggested_k,
-        }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)

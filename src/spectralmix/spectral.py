@@ -127,9 +127,9 @@ def top_k_eigs(M, K):
         M.sum_duplicates()
     else:
         M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    if M.ndim != 2 or M.shape[1] != n:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
+    n = M.shape[0]
     entries = M.data if sparse else M
     # max |entry| from the extremes: no |M| temporary
     scale = max(-entries.min(initial=0.0), entries.max(initial=0.0))

@@ -65,7 +65,7 @@ def sweep_draw(cfg, rho, rep):
     """The adjacency and estimator seed ``harness.run_sweep`` uses for
     replicate ``rep`` at grid point ``rho``."""
     return harness.draw_replicate(cfg, cfg.rho_grid.index(rho), rep, cfg.block_matrix(),
-                                  cfg.membership(), cfg.edge_distribution())
+                                  cfg.membership())
 
 
 def spearman_rho_vs_error(sweep, method="scd"):
@@ -96,7 +96,7 @@ def scaling_check(cfg, method="scd"):
     and flags failure when the normalized values spread by more than a
     factor of SCALING_FLATNESS_FACTOR across the valid grid.
     """
-    if cfg.distribution["kind"] not in ("bernoulli", "poisson"):
+    if cfg.distribution.kind not in ("bernoulli", "poisson"):
         raise ValueError("scaling check applies to the sparsity-controlled families "
                          "(bernoulli, poisson)")
     sweep = harness.run_sweep(cfg)

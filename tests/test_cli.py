@@ -13,6 +13,7 @@ import spectralmix
 from conftest import sweep_draw
 from spectralmix import corners, estimators, harness
 from spectralmix.cli import main
+from spectralmix.model import EdgeDistribution
 
 
 def test_scree_command(data_dir, capsys):
@@ -32,6 +33,9 @@ def test_fit_command_writes_outputs(data_dir, tmp_path, capsys):
     assert summary["n"] == 34
     assert "miscluster_count" in summary
     assert summary["scree"]["suggested_k"] == 2
+    printed = json.loads(capsys.readouterr().out.split("\nwrote ")[0])
+    assert summary == {**printed, "scree": summary["scree"]}
+    assert list(summary) == [*printed, "scree"]
 
 
 def test_setup_command(tmp_path, capsys):
@@ -62,7 +66,7 @@ def test_setup_reports_the_draws_it_scored(monkeypatch, capsys):
 def test_simulate_command(tmp_path):
     cfg = harness.ExperimentConfig(
         n=24, K=2, n0=8, mixed_profiles=[((0.5, 0.5), 8)], p_offdiag=0.2,
-        distribution={"kind": "normal", "variance": 0.1}, rho_grid=[1.0],
+        distribution=EdgeDistribution("normal", 0.1), rho_grid=[1.0],
         replicates=2, master_seed=3)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(cfg.to_json())
@@ -169,14 +173,27 @@ def test_margin_solve_at_its_step_bound_exits_2(data_dir, tmp_path, capsys, monk
     assert "the margin solve did not converge in 1 least-squares steps" in err
 
 
+def edited_config(**fields):
+    """A small sweep config's JSON with ``fields`` replaced."""
+    raw = json.loads(harness.experiment_config(2, n=80, n0=8, replicates=2).to_json())
+    return json.dumps({**raw, **fields})
+
+
 # small input files for the failure cases below: a 6-node graph whose K=4
-# corner block is singular, a graph whose every weight is zero, and a sweep
-# config that names a method no estimator implements
+# corner block is singular, a graph whose every weight is zero, and sweep
+# configs with one malformed field
 SMALL_FILES = {
     "six_nodes.tsv": "v0 v3\nv0 v4\nv0 v5\nv1 v2\nv1 v4\nv1 v5\nv2 v4\nv3 v5\n",
     "zero_weights.tsv": "a b 0\nc d 0\ne f 0\n",
-    "bogus_method.json": json.dumps({**json.loads(harness.experiment_config(1).to_json()),
-                                     "methods": ["scd", "bogus"]}),
+    "bogus_method.json": edited_config(methods=["scd", "bogus"]),
+    "float_replicates.json": edited_config(replicates=2.5),
+    "float_k.json": edited_config(K=3.0),
+    "empty_distribution.json": edited_config(distribution={}),
+    "string_distribution.json": edited_config(distribution="bernoulli"),
+    "float_seed.json": edited_config(master_seed=2.5),
+    "string_self_loops.json": edited_config(keep_self_loops="no"),
+    "nan_rho.json": edited_config(rho_grid=[float("nan")]),
+    "infinite_rho.json": edited_config(rho_grid=[float("inf")]),
 }
 
 
@@ -192,9 +209,24 @@ SMALL_FILES = {
     (["fit", "--file", "zero_weights.tsv", "--k", "2"], "matrix is all zero"),
     (["scree", "--file", "zero_weights.tsv"], "matrix is all zero"),
     (["simulate", "--config", "bogus_method.json"], "unknown method(s) 'bogus'"),
+    (["simulate", "--config", "float_replicates.json"], "replicates must be an integer, got 2.5"),
+    (["simulate", "--config", "float_k.json"], "K must be an integer, got 3.0"),
+    (["simulate", "--config", "empty_distribution.json"],
+     "distribution must be an object of kind and optional variance, got {}"),
+    (["simulate", "--config", "string_distribution.json"],
+     'distribution must be an object of kind and optional variance, got "bernoulli"'),
+    (["simulate", "--config", "float_seed.json"], "master_seed must be an integer, got 2.5"),
+    (["simulate", "--config", "string_self_loops.json"],
+     "keep_self_loops must be true or false, got 'no'"),
+    (["simulate", "--config", "nan_rho.json"], "rho grid must be nonempty, finite and positive"),
+    (["simulate", "--config", "infinite_rho.json"],
+     "rho grid must be nonempty, finite and positive"),
 ], ids=["fit-k1", "scree-top1", "fit-missing-file", "simulate-missing-config", "setup-reps0",
         "fit-labels-missing-nodes", "fit-singular-corner-block", "fit-zero-weights",
-        "scree-zero-weights", "simulate-unknown-method"])
+        "scree-zero-weights", "simulate-unknown-method", "simulate-float-replicates",
+        "simulate-float-k", "simulate-empty-distribution", "simulate-string-distribution",
+        "simulate-float-seed", "simulate-string-self-loops", "simulate-nan-rho",
+        "simulate-infinite-rho"])
 def test_bad_input_exits_2_with_one_line(data_dir, tmp_path, capsys, argv, message):
     for name, text in SMALL_FILES.items():
         (tmp_path / name).write_text(text)

@@ -16,6 +16,7 @@ from spectralmix.harness import (
     run_sweep,
     setup_config,
 )
+from spectralmix.model import EdgeDistribution
 
 
 def tiny_config(**overrides):
@@ -23,7 +24,7 @@ def tiny_config(**overrides):
         n=36, K=2, n0=12,
         mixed_profiles=[((0.6, 0.4), 12)],
         p_offdiag=0.2,
-        distribution={"kind": "normal", "variance": 0.0},
+        distribution=EdgeDistribution("normal", 0.0),
         rho_grid=[0.5, 1.0],
         theta_rule="uniform_half",
         replicates=2,
@@ -43,23 +44,23 @@ class TestRunSweep:
             assert sweep.table[("scd", rho)]["mean"] <= 1e-6
 
     def test_reproducible_bitwise(self):
-        a = run_sweep(tiny_config(distribution={"kind": "normal", "variance": 0.5}))
-        b = run_sweep(tiny_config(distribution={"kind": "normal", "variance": 0.5}))
+        a = run_sweep(tiny_config(distribution=EdgeDistribution("normal", 0.5)))
+        b = run_sweep(tiny_config(distribution=EdgeDistribution("normal", 0.5)))
         for key in a.table:
             assert a.table[key]["errors"] == b.table[key]["errors"]
 
     def test_replicates_are_prefix_stable(self):
         # replicate seeds depend only on (master seed, grid index, replicate
         # index), so extending the replicate count preserves earlier draws
-        short = run_sweep(tiny_config(distribution={"kind": "normal", "variance": 0.5},
+        short = run_sweep(tiny_config(distribution=EdgeDistribution("normal", 0.5),
                                       replicates=2))
-        long = run_sweep(tiny_config(distribution={"kind": "normal", "variance": 0.5},
+        long = run_sweep(tiny_config(distribution=EdgeDistribution("normal", 0.5),
                                      replicates=4))
         for rho in short.valid_grid():
             assert long.table[("scd", rho)]["errors"][:2] == short.table[("scd", rho)]["errors"]
 
     def test_errors_are_fits_of_the_drawn_replicates(self):
-        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5})
+        cfg = tiny_config(distribution=EdgeDistribution("normal", 0.5))
         sweep = run_sweep(cfg)
         for rho in cfg.rho_grid:
             for rep in range(cfg.replicates):
@@ -70,13 +71,13 @@ class TestRunSweep:
                     assert sweep.table[(method, rho)]["errors"][rep] == error
 
     def test_mean_is_arithmetic_average(self):
-        sweep = run_sweep(tiny_config(distribution={"kind": "normal", "variance": 1.0},
+        sweep = run_sweep(tiny_config(distribution=EdgeDistribution("normal", 1.0),
                                       replicates=3))
         for key, cell in sweep.table.items():
             assert cell["mean"] == pytest.approx(np.mean(cell["errors"]), abs=1e-12)
 
     def test_support_violation_skips_point(self):
-        cfg = tiny_config(distribution={"kind": "bernoulli"}, rho_grid=[0.5, 1.2])
+        cfg = tiny_config(distribution=EdgeDistribution("bernoulli"), rho_grid=[0.5, 1.2])
         sweep = run_sweep(cfg)
         assert 1.2 in sweep.invalid
         assert "bernoulli" in sweep.invalid[1.2]
@@ -102,7 +103,7 @@ class TestRunSweep:
         assert all("scd failed on all 2 replicates" in r for r in sweep.invalid.values())
 
     def test_linalg_failure_on_one_replicate(self, monkeypatch, tmp_path):
-        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
+        cfg = tiny_config(distribution=EdgeDistribution("normal", 0.5), replicates=3)
         clean = run_sweep(cfg)
         first = {sweep_draw(cfg, rho, 0)[1] for rho in cfg.rho_grid}
         real_dfsp = estimators.ESTIMATORS["dfsp"]
@@ -131,7 +132,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
     def test_shared_eigensolve_failure_fails_every_method(self, monkeypatch, error):
-        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
+        cfg = tiny_config(distribution=EdgeDistribution("normal", 0.5), replicates=3)
         clean = run_sweep(cfg)
         real_top_k_eigs = spectral.top_k_eigs
         calls = []
@@ -152,7 +153,7 @@ class TestRunSweep:
                 assert cell["errors"] == clean.table[(method, rho)]["errors"][1:]
 
     def test_all_zero_draw_fails_every_method(self, monkeypatch):
-        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
+        cfg = tiny_config(distribution=EdgeDistribution("normal", 0.5), replicates=3)
         clean = run_sweep(cfg)
         real_sample_adjacency = model.sample_adjacency
         calls = []
@@ -172,7 +173,7 @@ class TestRunSweep:
                 assert cell["errors"] == clean.table[(method, rho)]["errors"][1:]
 
     def test_one_eigensolve_per_replicate(self, monkeypatch):
-        cfg = tiny_config(distribution={"kind": "normal", "variance": 0.5}, replicates=3)
+        cfg = tiny_config(distribution=EdgeDistribution("normal", 0.5), replicates=3)
         real_top_k_eigs = spectral.top_k_eigs
         calls = []
 
@@ -194,17 +195,14 @@ class TestRunSweep:
             tiny_config(replicates=0)
 
     def test_csv_and_summary_outputs(self, tmp_path):
-        sweep = run_sweep(tiny_config(distribution={"kind": "normal", "variance": 0.2}))
+        sweep = run_sweep(tiny_config(distribution=EdgeDistribution("normal", 0.2)))
         csv_path = tmp_path / "sweep.csv"
         sweep.write_csv(csv_path)
         rows = list(csv.DictReader(csv_path.read_text().splitlines()))
         assert {r["method"] for r in rows} == {"scd", "dfsp"}
         assert len(rows) == 2 * 2 * 2  # methods x grid x replicates
         assert all(float(r["error"]) >= 0 for r in rows)
-        json_path = tmp_path / "summary.json"
-        sweep.write_summary(json_path)
-        summary = json.loads(json_path.read_text())
-        assert set(summary["methods"]) == {"scd", "dfsp"}
+        assert set(sweep.summary()["methods"]) == {"scd", "dfsp"}
 
 
 class TestSupportScreen:
@@ -245,16 +243,16 @@ class TestSupportScreen:
 class TestExperimentConfigs:
     def test_grids_follow_the_four_families(self):
         e1 = experiment_config(1)
-        assert e1.distribution["kind"] == "normal" and e1.p_offdiag == -0.2
+        assert e1.distribution.kind == "normal" and e1.p_offdiag == -0.2
         assert e1.rho_grid[0] == pytest.approx(0.1) and e1.rho_grid[-1] == pytest.approx(2.0)
         e2 = experiment_config(2)
-        assert e2.distribution["kind"] == "bernoulli" and e2.p_offdiag == 0.2
+        assert e2.distribution.kind == "bernoulli" and e2.p_offdiag == 0.2
         assert len(e2.rho_grid) == 10 and e2.rho_grid[-1] == pytest.approx(1.0)
         e3 = experiment_config(3)
-        assert e3.distribution["kind"] == "poisson"
+        assert e3.distribution.kind == "poisson"
         assert e3.rho_grid[0] == pytest.approx(0.2) and e3.rho_grid[-1] == pytest.approx(2.0)
         e4 = experiment_config(4)
-        assert e4.distribution["kind"] == "signed" and e4.p_offdiag == -0.2
+        assert e4.distribution.kind == "signed" and e4.p_offdiag == -0.2
 
     def test_membership_layout(self):
         cfg = experiment_config(2)
@@ -268,6 +266,45 @@ class TestExperimentConfigs:
         cfg = experiment_config(4, replicates=3, master_seed=9)
         back = ExperimentConfig.from_json(cfg.to_json())
         assert back == cfg
+
+    @pytest.mark.parametrize("cfg", [
+        *(experiment_config(e) for e in (1, 2, 3, 4)), *(setup_config(s) for s in (1, 2, 3, 4)),
+    ], ids=[*(f"experiment{e}" for e in (1, 2, 3, 4)), *(f"setup{s}" for s in (1, 2, 3, 4))])
+    def test_json_writes_the_distribution_as_kind_and_variance(self, cfg):
+        written = json.loads(cfg.to_json())["distribution"]
+        dist = cfg.distribution
+        assert written == ({"kind": "normal", "variance": dist.variance} if dist.kind == "normal"
+                           else {"kind": dist.kind})
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    # the CLI's bad-input test covers the other one-field edits
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", True, "n must be an integer, got True"),
+        ("master_seed", -1, "master_seed must be >= 0, got -1"),
+        ("rho_grid", ["1"], "rho grid must be nonempty, finite and positive"),
+        ("distribution", {"kind": "normal", "varience": 2.0}, "distribution must be an object"),
+        ("distribution", {"kind": "normal"}, "normal edge distribution needs a finite "
+                                             "nonnegative variance"),
+        ("distribution", {"kind": "normal", "variance": "2"}, "needs a finite nonnegative"),
+        ("distribution", {"kind": "normal", "variance": float("nan")}, "needs a finite"),
+        ("distribution", {"kind": "bernoulli", "variance": 1.0}, "takes no variance parameter"),
+        ("distribution", {"kind": "gamma"}, "unknown distribution 'gamma'"),
+    ], ids=["bool-n", "negative-seed", "string-rho", "misspelt-variance", "normal-no-variance",
+            "string-variance", "nan-variance", "bernoulli-variance", "unknown-kind"])
+    def test_json_field_fails_at_load_by_name(self, field, value, message):
+        raw = json.loads(experiment_config(2, n=80, n0=8, replicates=2).to_json())
+        raw[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_json(json.dumps(raw))
+
+    def test_numpy_integers_are_python_integers(self):
+        cfg = tiny_config(n=np.int64(36), replicates=np.int32(2), master_seed=np.uint64(7))
+        assert cfg == tiny_config() and {type(v) for v in (cfg.n, cfg.replicates)} == {int}
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    def test_distribution_must_be_an_edge_distribution(self):
+        with pytest.raises(ValueError, match="^distribution must be an EdgeDistribution, got "):
+            tiny_config(distribution={"kind": "bernoulli"})
 
     @pytest.mark.parametrize("drop, add, message", [
         (["mixed_profiles"], {}, "missing field(s): mixed_profiles"),
@@ -330,14 +367,14 @@ class TestSetups:
         assert Pi.shape == (n, 2)
         assert np.array_equal(Pi[n0 - 1], [1, 0])
         assert np.allclose(Pi[2 * n0:], [0.7, 0.3])
-        assert cfg.edge_distribution().kind == kind
+        assert cfg.distribution.kind == kind
         assert cfg.theta_rule == "linear_ramp"
         assert cfg.rho_grid == [harness.SETUP_PARAMS[setup_id]["rho"]]
 
     def test_noiseless_override_recovers(self):
         # zero variance with self loops kept: the draw is the expectation
         cfg = dataclasses.replace(setup_config(1), replicates=1, keep_self_loops=True,
-                                  distribution={"kind": "normal", "variance": 0.0})
+                                  distribution=EdgeDistribution("normal", 0.0))
         sweep = run_sweep(cfg)
         assert sweep.table[("scd", cfg.rho_grid[0])]["mean"] <= 1e-6
 
@@ -402,7 +439,7 @@ class TestDirectionalEffects:
     def _mean_error(n, n0, p, reps=8, rho=0.6):
         cfg = ExperimentConfig(
             n=n, K=2, n0=n0, mixed_profiles=[((0.7, 0.3), n - 2 * n0)],
-            p_offdiag=p, distribution={"kind": "bernoulli"},
+            p_offdiag=p, distribution=EdgeDistribution("bernoulli"),
             rho_grid=[rho], replicates=reps, methods=("scd",), master_seed=13)
         sweep = run_sweep(cfg)
         return sweep.table[("scd", rho)]["mean"]
@@ -420,7 +457,7 @@ class TestDirectionalEffects:
 
 class TestScalingCheck:
     def test_report_fields_and_formula(self):
-        cfg = tiny_config(distribution={"kind": "bernoulli"},
+        cfg = tiny_config(distribution=EdgeDistribution("bernoulli"),
                           rho_grid=[0.5, 1.0], replicates=2)
         report = scaling_check(cfg)
         assert len(report.normalized) == len(report.rhos)
@@ -431,4 +468,4 @@ class TestScalingCheck:
 
     def test_rejects_unbounded_noise_families(self):
         with pytest.raises(ValueError, match="bernoulli"):
-            scaling_check(tiny_config(distribution={"kind": "normal", "variance": 1.0}))
+            scaling_check(tiny_config(distribution=EdgeDistribution("normal", 1.0)))

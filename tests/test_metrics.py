@@ -5,11 +5,25 @@ import numpy as np
 import pytest
 
 from spectralmix.metrics import (
+    EXHAUSTIVE_K,
+    _min_perm,
     highly_mixed,
     home_base,
     l1_error_rate,
     miscluster_count,
 )
+
+
+def agreement_table_count(labels_hat, labels_true, K):
+    """Miscluster count and permutation from a K x K table of agreeing
+    labels, the count's definition: n minus the most agreements."""
+    agree = np.zeros((K, K))
+    for k in range(1, K + 1):
+        mask = labels_hat == k
+        for l in range(1, K + 1):
+            agree[k - 1, l - 1] = np.sum(mask & (labels_true == l))
+    total, perm = _min_perm(-agree, exhaustive=K <= EXHAUSTIVE_K)
+    return int(labels_hat.size + total), perm
 
 
 class TestL1ErrorRate:
@@ -121,7 +135,9 @@ class TestMisclusterCount:
     @pytest.mark.parametrize("hat,true,message", [
         ([1, 5], [1, 2], "labels exceed K"),
         ([1, 2], [1, 2, 1], "label vectors differ in length"),
-    ], ids=["k-mismatch", "length-mismatch"])
+        ([0, 2], [1, 2], "labels must be at least 1"),
+        ([1, 2], [1, -1], "labels must be at least 1"),
+    ], ids=["k-mismatch", "length-mismatch", "zero-estimated-label", "negative-true-label"])
     def test_bad_labels_named(self, hat, true, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             miscluster_count(np.array(hat), np.array(true), K=2)
@@ -133,12 +149,27 @@ class TestMisclusterCount:
             n = int(rng.integers(10, 60))
             a = rng.integers(1, K + 1, size=n)
             b = rng.integers(1, K + 1, size=n)
-            agree = np.zeros((K, K))
             exhaustive_best = min(
                 sum(np.sum((a == k + 1) & (b != perm[k] + 1)) for k in range(K))
                 for perm in itertools.permutations(range(K))
             )
             assert miscluster_count(a, b, K=K)[0] == exhaustive_best
+
+    @pytest.mark.parametrize("K, draws", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40),
+                                          (7, 20), (8, 3), (9, 40), (10, 40)])
+    def test_matches_the_agreement_table(self, K, draws):
+        # one-hot rows cost 2n - 2 * agreements under the membership
+        # matcher, so the count and, by exhaustive search, the permutation
+        # are the agreement table's
+        rng = np.random.default_rng(K)
+        for _ in range(draws):
+            n = int(rng.integers(5, 80))
+            a, b = rng.integers(1, K + 1, size=n), rng.integers(1, K + 1, size=n)
+            count, perm = miscluster_count(a, b, K=K)
+            oracle_count, oracle_perm = agreement_table_count(a, b, K)
+            assert count == oracle_count
+            if K <= EXHAUSTIVE_K:
+                assert perm == oracle_perm
 
 
 class TestHighlyMixed:

@@ -145,6 +145,12 @@ class TestTopKEigs:
         with pytest.raises(ValueError):
             top_k_eigs(np.eye(3), 4)
 
+    @pytest.mark.parametrize("M", [np.float64(3.0), 3.0, np.ones(3), np.ones((2, 2, 2))],
+                             ids=["0-d-array", "scalar", "1-d", "3-d"])
+    def test_not_two_dimensional_is_not_square(self, M):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            top_k_eigs(M, 1)
+
 
 def stored_zeros(n):
     """An n x n CSR matrix whose only stored entries are two zeros."""
