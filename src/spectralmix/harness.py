@@ -3,8 +3,9 @@ four canonical small demonstration set-ups.
 
 Replicate seeds derive from (master_seed, grid index, replicate index)
 through one seed sequence, so a sweep is reproducible bit-for-bit and
-replicates can run in any order. A set-up is a one-point sweep and runs
-through the same replicate loop.
+replicates can run in any order and in any process: ``run_sweep`` fits
+them in forked workers. A set-up is a one-point sweep and runs through
+the same replicate loop.
 
 Every draw goes through one spectral stage: ``spectral.top_k_eigs`` runs
 once on the draw's adjacency, and the resulting ``SpectralPair`` is handed
@@ -14,9 +15,12 @@ not each repeat the eigensolve.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
 import numbers
+import os
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -30,10 +34,15 @@ from . import spectral as _spectral
 DEFAULT_REPLICATES = 50
 
 
+def _finite(value):
+    """A finite real number, neither a bool nor a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value)
+
+
 @dataclass
 class ExperimentConfig:
-    """Sweep description: model layout, edge distribution, rho grid. Its
-    scalars, grid, family and methods are checked when built, by name."""
+    """Sweep description: model layout, edge distribution, rho grid. Every
+    field is checked when built, by name."""
 
     n: int
     K: int
@@ -58,10 +67,22 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        for profile, count in self.mixed_profiles:
+            if np.ndim(profile) != 1 or len(profile) != self.K or not all(map(_finite, profile)):
+                raise ValueError(f"mixed profile must be a finite {self.K}-vector, got {profile!r}")
+            if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 0:
+                raise ValueError(f"mixed profile {tuple(map(float, profile))} has count {count!r}; "
+                                 f"counts must be non-negative integers")
+        self.mixed_profiles = [(tuple(map(float, p)), int(c)) for p, c in self.mixed_profiles]
+        if not _finite(self.p_offdiag):
+            raise ValueError(f"p_offdiag must be a finite real number, got {self.p_offdiag!r}")
+        self.p_offdiag = float(self.p_offdiag)
+        if self.theta_rule not in _model.THETA_RULES:
+            raise ValueError(f"theta_rule must be one of {_model.THETA_RULES}, "
+                             f"got {self.theta_rule!r}")
         if not isinstance(self.keep_self_loops, bool):
             raise ValueError(f"keep_self_loops must be true or false, got {self.keep_self_loops!r}")
-        if not self.rho_grid or not all(isinstance(r, numbers.Real) and 0 < r < np.inf
-                                        for r in self.rho_grid):
+        if not self.rho_grid or not all(_finite(r) and r > 0 for r in self.rho_grid):
             raise ValueError(f"rho grid must be nonempty, finite and positive, got {self.rho_grid}")
         if not isinstance(self.distribution, _model.EdgeDistribution):
             raise ValueError(f"distribution must be an EdgeDistribution, got {self.distribution!r}")
@@ -76,8 +97,7 @@ class ExperimentConfig:
         return _model.check_block_matrix(P)
 
     def membership(self):
-        profiles = [(np.asarray(p, dtype=float), int(c)) for p, c in self.mixed_profiles]
-        return _model.make_synthetic_membership(self.n, self.K, self.n0, profiles)
+        return _model.make_synthetic_membership(self.n, self.K, self.n0, self.mixed_profiles)
 
     def to_json(self):
         dist = {k: v for k, v in vars(self.distribution).items() if v is not None}
@@ -97,7 +117,6 @@ class ExperimentConfig:
             raise ValueError(f"distribution must be an object of kind and optional variance, "
                              f"got {json.dumps(dist)}")
         raw["distribution"] = _model.EdgeDistribution(**dist)
-        raw["mixed_profiles"] = [(tuple(p), int(c)) for p, c in raw["mixed_profiles"]]
         if "methods" in raw:
             raw["methods"] = tuple(raw["methods"])
         return cls(**raw)
@@ -175,6 +194,29 @@ def draw_replicate(cfg, gi, rep, P, Pi):
     return A, s_est
 
 
+def _fit_replicate(cfg, P, Pi, task):
+    """Draw replicate ``task = (gi, rep)`` of a sweep, eigensolve it once
+    and fit every method from that pair; returns ``(method, error,
+    seconds)`` for each method that produced a fit."""
+    A, s_est = draw_replicate(cfg, *task, P, Pi)
+    t0 = time.perf_counter()
+    try:
+        pair = _spectral.top_k_eigs(A, cfg.K)
+    except ValueError:  # LinAlgError included
+        return []
+    spectral_s = time.perf_counter() - t0
+    fits = []
+    for method in cfg.methods:
+        t0 = time.perf_counter()
+        try:
+            result = _estimators.estimate(method, A, cfg.K, seed=s_est, pair=pair)
+        except (_estimators.EstimationError, np.linalg.LinAlgError):
+            continue
+        dt = spectral_s + time.perf_counter() - t0
+        fits.append((method, _metrics.l1_error_rate(result.Pi_hat, Pi).l1_rate, dt))
+    return fits
+
+
 def run_sweep(cfg, progress=None):
     """Run every (grid point, replicate, method) cell of a sweep.
 
@@ -188,56 +230,71 @@ def run_sweep(cfg, progress=None):
     method, as when each method solved it itself. Grid points whose
     worst-case expectation range violates the distribution support, or
     where a method fails on every replicate, are skipped with a recorded
-    reason instead of clamped; ``progress`` is called for valid points only.
+    reason instead of clamped; ``progress`` is called for valid points only,
+    in grid order.
+
+    Replicates are fitted in worker processes forked for this call, one
+    per usable CPU and at most one per replicate, or in this process when
+    that is one worker. A replicate's seeds do not depend on where it
+    runs, so the tables are the same for any worker count.
     """
     Pi = cfg.membership()
     P = cfg.block_matrix()
     core_min, core_max = _off_diagonal_range(Pi, P)
 
+    screen = [_support_violation(core_min, core_max, rho, cfg.distribution)
+              for rho in cfg.rho_grid]
+    tasks = [(gi, rep) for gi, reason in enumerate(screen) if not reason
+             for rep in range(cfg.replicates)]
+    fit = functools.partial(_fit_replicate, cfg, P, Pi)
+    # platforms without sched_getaffinity (macOS, Windows) lack a safe fork
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = min(cpus, len(tasks))
+
     table = {}
     invalid = {}
-    for gi, rho in enumerate(cfg.rho_grid):
-        reason = _support_violation(core_min, core_max, rho, cfg.distribution)
-        if reason:
-            invalid[rho] = reason
-            continue
-        errors = {m: [] for m in cfg.methods}
-        seconds = {m: [] for m in cfg.methods}
-        replicates = {m: [] for m in cfg.methods}
-        for rep in range(cfg.replicates):
-            A, s_est = draw_replicate(cfg, gi, rep, P, Pi)
-            t0 = time.perf_counter()
-            try:
-                pair = _spectral.top_k_eigs(A, cfg.K)
-            except ValueError:  # LinAlgError included
+    with contextlib.ExitStack() as stack:
+        if jobs < 2:
+            results = map(fit, tasks)
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork, not spawn: a worker inherits the caller's modules as they
+            # stand, patched attributes included, and imports nothing again;
+            # the executor, unlike multiprocessing.Pool, reports a worker
+            # exception it cannot rebuild as BrokenProcessPool, not a hang
+            pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+            # on an early exit, replicates not yet started are dropped
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(fit, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
+        for rho, reason in zip(cfg.rho_grid, screen):
+            if reason:
+                invalid[rho] = reason
                 continue
-            spectral_s = time.perf_counter() - t0
+            errors = {m: [] for m in cfg.methods}
+            seconds = {m: [] for m in cfg.methods}
+            replicates = {m: [] for m in cfg.methods}
+            for rep in range(cfg.replicates):
+                for method, error, dt in next(results):
+                    errors[method].append(error)
+                    seconds[method].append(dt)
+                    replicates[method].append(rep)
             for method in cfg.methods:
-                t0 = time.perf_counter()
-                try:
-                    result = _estimators.estimate(method, A, cfg.K, seed=s_est, pair=pair)
-                except (_estimators.EstimationError, np.linalg.LinAlgError):
-                    continue
-                dt = spectral_s + time.perf_counter() - t0
-                report = _metrics.l1_error_rate(result.Pi_hat, Pi)
-                errors[method].append(report.l1_rate)
-                seconds[method].append(dt)
-                replicates[method].append(rep)
-        for method in cfg.methods:
-            if not errors[method]:
-                invalid[rho] = f"{method} failed on all {cfg.replicates} replicates"
-                break
-            errs = np.array(errors[method])
-            table[(method, rho)] = {
-                "errors": errors[method],
-                "replicates": replicates[method],
-                "seconds": seconds[method],
-                "failures": cfg.replicates - len(errors[method]),
-                "mean": float(errs.mean()),
-                "std": float(errs.std()),
-            }
-        if progress and rho not in invalid:
-            progress(rho, {m: table[(m, rho)]["mean"] for m in cfg.methods})
+                if not errors[method]:
+                    invalid[rho] = f"{method} failed on all {cfg.replicates} replicates"
+                    break
+                errs = np.array(errors[method])
+                table[(method, rho)] = {
+                    "errors": errors[method],
+                    "replicates": replicates[method],
+                    "seconds": seconds[method],
+                    "failures": cfg.replicates - len(errors[method]),
+                    "mean": float(errs.mean()),
+                    "std": float(errs.std()),
+                }
+            if progress and rho not in invalid:
+                progress(rho, {m: table[(m, rho)]["mean"] for m in cfg.methods})
     return SweepResult(config=cfg, grid=list(cfg.rho_grid), table=table, invalid=invalid)
 
 

@@ -230,6 +230,9 @@ def make_synthetic_membership(n, K, n0, mixed_profiles=()):
     return check_membership(Pi)
 
 
+THETA_RULES = ("uniform_half", "linear_ramp")
+
+
 def make_theta(n, rho, rule="uniform_half", seed=0):
     """Per-node scales: either rho*(u/2+0.5) with u uniform, or the
     deterministic ramp 0.9*rho + 0.1*i*rho/n for i = 1..n."""
@@ -237,10 +240,10 @@ def make_theta(n, rho, rule="uniform_half", seed=0):
         raise InvariantError("n must be >= 1")
     if rho <= 0:
         raise InvariantError("rho must be positive")
+    if rule not in THETA_RULES:
+        raise ValueError(f"unknown theta rule {rule!r}")
     if rule == "uniform_half":
         u = _stream(seed).random(n)
         return rho * (u / 2.0 + 0.5)
-    if rule == "linear_ramp":
-        i = np.arange(1, n + 1, dtype=float)
-        return 0.9 * rho + 0.1 * i * rho / n
-    raise ValueError(f"unknown theta rule {rule!r}")
+    i = np.arange(1, n + 1, dtype=float)
+    return 0.9 * rho + 0.1 * i * rho / n

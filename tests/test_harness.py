@@ -2,14 +2,22 @@ import csv
 import dataclasses
 import functools
 import json
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import SCALING_FLATNESS_FACTOR, scaling_check, sweep_draw
+import spectralmix
 from spectralmix import corners, estimators, harness, metrics, model, spectral
 from spectralmix.harness import (
+    EXPERIMENT_PROFILES,
     ExperimentConfig,
     experiment_config,
     run_setup_replicates,
@@ -33,6 +41,19 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def log_eigensolves(monkeypatch, path):
+    """Append the solving process's id to ``path`` at every eigensolve; a
+    file, not a list, so that calls made in sweep workers count too."""
+    real_top_k_eigs = spectral.top_k_eigs
+
+    def logged(M, K):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_top_k_eigs(M, K)
+
+    monkeypatch.setattr(spectral, "top_k_eigs", logged)
 
 
 class TestRunSweep:
@@ -135,11 +156,10 @@ class TestRunSweep:
         cfg = tiny_config(distribution=EdgeDistribution("normal", 0.5), replicates=3)
         clean = run_sweep(cfg)
         real_top_k_eigs = spectral.top_k_eigs
-        calls = []
+        first = [sweep_draw(cfg, rho, 0)[0] for rho in cfg.rho_grid]
 
         def fails_on_replicate_zero(M, K):
-            calls.append(None)
-            if len(calls) % cfg.replicates == 1:  # replicate 0 of each grid point
+            if any(np.array_equal(M, A) for A in first):
                 raise error("eigensolve failed")
             return real_top_k_eigs(M, K)
 
@@ -156,12 +176,11 @@ class TestRunSweep:
         cfg = tiny_config(distribution=EdgeDistribution("normal", 0.5), replicates=3)
         clean = run_sweep(cfg)
         real_sample_adjacency = model.sample_adjacency
-        calls = []
+        first = [sweep_draw(cfg, rho, 0)[0] for rho in cfg.rho_grid]
 
         def zero_on_replicate_zero(omega, dist, **kwargs):
-            calls.append(None)
             A = real_sample_adjacency(omega, dist, **kwargs)
-            return np.zeros_like(A) if len(calls) % cfg.replicates == 1 else A
+            return np.zeros_like(A) if any(np.array_equal(A, B) for B in first) else A
 
         monkeypatch.setattr(model, "sample_adjacency", zero_on_replicate_zero)
         sweep = run_sweep(cfg)
@@ -172,19 +191,13 @@ class TestRunSweep:
                 assert cell["failures"] == 1 and cell["replicates"] == [1, 2]
                 assert cell["errors"] == clean.table[(method, rho)]["errors"][1:]
 
-    def test_one_eigensolve_per_replicate(self, monkeypatch):
+    def test_one_eigensolve_per_replicate(self, monkeypatch, tmp_path):
         cfg = tiny_config(distribution=EdgeDistribution("normal", 0.5), replicates=3)
-        real_top_k_eigs = spectral.top_k_eigs
-        calls = []
-
-        def counted(M, K):
-            calls.append(None)
-            return real_top_k_eigs(M, K)
-
-        monkeypatch.setattr(spectral, "top_k_eigs", counted)
+        calls = tmp_path / "calls"
+        log_eigensolves(monkeypatch, calls)
         sweep = run_sweep(cfg)
         assert len(cfg.methods) == 2 and sweep.valid_grid() == cfg.rho_grid
-        assert len(calls) == len(cfg.rho_grid) * cfg.replicates
+        assert calls.read_text().count("\n") == len(cfg.rho_grid) * cfg.replicates
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -203,6 +216,137 @@ class TestRunSweep:
         assert len(rows) == 2 * 2 * 2  # methods x grid x replicates
         assert all(float(r["error"]) >= 0 for r in rows)
         assert set(sweep.summary()["methods"]) == {"scd", "dfsp"}
+
+
+def untimed(sweep):
+    """A sweep's table, invalid reasons and summary, without ``seconds``."""
+    table = {key: {k: v for k, v in cell.items() if k != "seconds"}
+             for key, cell in sweep.table.items()}
+    return table, sweep.invalid, sweep.summary()
+
+
+class TwoArgumentError(Exception):
+    """Pickles by its message only, so it cannot be rebuilt from a worker."""
+
+    def __init__(self, check, detail):
+        super().__init__(f"{check}: {detail}")
+
+
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="fewer than 2 usable CPUs: every sweep runs in process")
+
+
+class TestWorkers:
+    """``run_sweep`` fits replicates in forked workers when two or more CPUs
+    are usable, and in process otherwise, with the same tables."""
+
+    @staticmethod
+    def one_cpu(monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    @two_cpus
+    @pytest.mark.parametrize("cfg", [
+        *(experiment_config(e, n=80, n0=8, replicates=3) for e in (1, 2, 3, 4)),
+        *(dataclasses.replace(setup_config(s), replicates=10) for s in (1, 2, 3, 4)),
+    ], ids=[*(f"experiment{e}" for e in (1, 2, 3, 4)), *(f"setup{s}" for s in (1, 2, 3, 4))])
+    def test_tables_do_not_depend_on_the_worker_count(self, cfg, monkeypatch):
+        in_workers = untimed(run_sweep(cfg))
+        self.one_cpu(monkeypatch)
+        assert untimed(run_sweep(cfg)) == in_workers
+
+    @two_cpus
+    def test_replicates_run_in_workers_unless_one_cpu_or_one_task(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids"
+
+        def solved_in():
+            found = set(pids.read_text().split())
+            pids.unlink()
+            return found
+
+        log_eigensolves(monkeypatch, pids)
+        run_sweep(tiny_config())
+        assert str(os.getpid()) not in solved_in()
+        run_sweep(tiny_config(rho_grid=[1.0], replicates=1))
+        assert solved_in() == {str(os.getpid())}
+        self.one_cpu(monkeypatch)
+        run_sweep(tiny_config())
+        assert solved_in() == {str(os.getpid())}
+
+    @two_cpus
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def fails(M, K):
+            raise RuntimeError("stub failed in a worker")
+
+        monkeypatch.setattr(spectral, "top_k_eigs", fails)
+        with pytest.raises(RuntimeError, match="^stub failed in a worker$"):
+            run_sweep(tiny_config())
+        assert multiprocessing.active_children() == []
+
+    @two_cpus
+    def test_worker_error_that_cannot_be_rebuilt_ends_the_sweep(self, monkeypatch):
+        def fails(M, K):
+            raise TwoArgumentError("estimate_valid", "stub failed in a worker")
+
+        def hung(signum, frame):
+            raise TimeoutError("run_sweep did not return within 60 s")
+
+        monkeypatch.setattr(spectral, "top_k_eigs", fails)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(Exception) as raised:
+                run_sweep(tiny_config())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not isinstance(raised.value, TimeoutError)
+        assert multiprocessing.active_children() == []
+
+    @two_cpus
+    def test_error_in_progress_drops_the_replicates_not_started(self, monkeypatch, tmp_path):
+        cfg = tiny_config(rho_grid=[0.1 * i for i in range(1, 11)], replicates=20)
+        calls = tmp_path / "calls"
+
+        def stop(rho, means):
+            raise KeyError("progress failed")
+
+        log_eigensolves(monkeypatch, calls)
+        with pytest.raises(KeyError, match="progress failed"):
+            run_sweep(cfg, progress=stop)
+        assert multiprocessing.active_children() == []
+        assert calls.read_text().count("\n") < len(cfg.rho_grid) * cfg.replicates
+
+    def test_progress_fires_once_per_valid_point_in_grid_order(self):
+        # at rho = 1.2 the pure-pair bernoulli mean is 1.44 > 1
+        cfg = experiment_config(2, n=80, n0=8, replicates=2)
+        cfg.rho_grid = [0.5, 1.2, 0.8, 0.3]
+        calls = []
+        sweep = run_sweep(cfg, progress=lambda rho, means: calls.append((rho, means)))
+        assert [rho for rho, _ in calls] == [0.5, 0.8, 0.3] == sweep.valid_grid()
+        for rho, means in calls:
+            assert means == {m: sweep.table[(m, rho)]["mean"] for m in cfg.methods}
+
+    def test_simulate_prints_each_line_once(self, tmp_path):
+        # stdout is a buffered pipe, so the first line is still buffered when
+        # the workers fork; a child that flushed its copy would print it again
+        cfg = experiment_config(2, n=80, n0=8, replicates=2)
+        cfg.rho_grid = [0.5, 1.2, 0.8]
+        (tmp_path / "sweep.json").write_text(cfg.to_json())
+        code = ("import sys; from spectralmix import cli; print('simulate'); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        src = Path(spectralmix.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+        stdout = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--config", str(tmp_path / "sweep.json"),
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, check=True, timeout=120).stdout
+        lines = stdout.splitlines()
+        assert lines[0] == "simulate" and [line.split(":")[0] for line in lines[1:3]] == [
+            "rho=0.5", "rho=0.8"]
+        assert lines[3].startswith("skipped rho=1.2: ") and lines[4].startswith("wrote ")
+        assert len(lines) == 5
 
 
 class TestSupportScreen:
@@ -289,8 +433,20 @@ class TestExperimentConfigs:
         ("distribution", {"kind": "normal", "variance": float("nan")}, "needs a finite"),
         ("distribution", {"kind": "bernoulli", "variance": 1.0}, "takes no variance parameter"),
         ("distribution", {"kind": "gamma"}, "unknown distribution 'gamma'"),
+        ("mixed_profiles", [[p, 14.5 if p[2] == 0.8 else 14] for p in EXPERIMENT_PROFILES],
+         "mixed profile (0.1, 0.1, 0.8) has count 14.5; counts must be non-negative integers"),
+        ("mixed_profiles", [[[0.5, 0.5], 14]] + [[p, 14] for p in EXPERIMENT_PROFILES[1:]],
+         "mixed profile must be a finite 3-vector, got [0.5, 0.5]"),
+        ("mixed_profiles", [[[0.1, "0.1", 0.8], 14]] + [[p, 14] for p in EXPERIMENT_PROFILES[1:]],
+         "mixed profile must be a finite 3-vector, got [0.1, '0.1', 0.8]"),
+        ("p_offdiag", "0.2", "p_offdiag must be a finite real number, got '0.2'"),
+        ("p_offdiag", float("inf"), "p_offdiag must be a finite real number, got inf"),
+        ("theta_rule", "bogus", "theta_rule must be one of ('uniform_half', 'linear_ramp'), "
+                                "got 'bogus'"),
     ], ids=["bool-n", "negative-seed", "string-rho", "misspelt-variance", "normal-no-variance",
-            "string-variance", "nan-variance", "bernoulli-variance", "unknown-kind"])
+            "string-variance", "nan-variance", "bernoulli-variance", "unknown-kind",
+            "fractional-count", "short-profile", "string-profile-entry", "string-p-offdiag",
+            "infinite-p-offdiag", "unknown-theta-rule"])
     def test_json_field_fails_at_load_by_name(self, field, value, message):
         raw = json.loads(experiment_config(2, n=80, n0=8, replicates=2).to_json())
         raw[field] = value
@@ -350,10 +506,8 @@ class TestExperimentConfigs:
     def test_negative_count_from_json_rejected(self):
         raw = json.loads(tiny_config().to_json())
         raw["mixed_profiles"] = [[[0.6, 0.4], 14], [[0.5, 0.5], -2]]  # still 36 rows
-        cfg = ExperimentConfig.from_json(json.dumps(raw))
-        with pytest.raises(model.InvariantError,
-                           match=re.escape("mixed profile (0.5, 0.5) has count -2")):
-            run_sweep(cfg)
+        with pytest.raises(ValueError, match=re.escape("mixed profile (0.5, 0.5) has count -2")):
+            ExperimentConfig.from_json(json.dumps(raw))
 
 
 class TestSetups:
