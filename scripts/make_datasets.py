@@ -26,10 +26,10 @@ MR_HI = {1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 17, 18, 20, 22}
 
 def write_karate(out):
     G = nx.karate_club_graph()
-    with open(out / "karate.tsv", "w") as fh:
+    with open(out / "karate.tsv", "w", encoding="utf-8") as fh:
         for u, v, data in G.edges(data=True):
             fh.write(f"{u + 1} {v + 1} {data.get('weight', 1)}\n")
-    with open(out / "karate_labels.tsv", "w") as fh:
+    with open(out / "karate_labels.tsv", "w", encoding="utf-8") as fh:
         for u in sorted(G.nodes):
             club = 1 if (u + 1) in MR_HI else 2
             fh.write(f"{u + 1} {club}\n")
@@ -37,7 +37,7 @@ def write_karate(out):
 
 def write_lesmis(out):
     G = nx.les_miserables_graph()
-    with open(out / "lesmis.tsv", "w") as fh:
+    with open(out / "lesmis.tsv", "w", encoding="utf-8") as fh:
         for u, v, data in G.edges(data=True):
             fh.write(f"{u} {v} {data.get('weight', 1)}\n")
 

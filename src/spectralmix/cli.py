@@ -21,12 +21,12 @@ from . import estimators, harness, netio
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
 
 
 def _cmd_simulate(args):
-    cfg = harness.ExperimentConfig.from_json(Path(args.config).read_text())
+    cfg = harness.ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     out = Path(args.out)

@@ -135,7 +135,7 @@ class SweepResult:
         return [rho for rho in self.grid if rho not in self.invalid]
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "rho", "replicate", "error", "seconds"])
             for rho in self.valid_grid():

@@ -2,19 +2,22 @@
 
 Three small readers cover the formats the usual public datasets ship in:
 whitespace edge triplets, a minimal GML subset, and a minimal Pajek
-subset. Each returns the same shape, ``(edges, nodes)``: edges are
-``(u, v, weight)`` triples and nodes are the declared ``(id, label,
-value-or-None)`` triples, empty for the whitespace format. The GML
-reader splits the text on double quotes, so a quoted string is one token
-whatever it holds, splits the rest on whitespace and brackets, and walks
-the tokens once. The loader then names the nodes, checks the weights, and
-merges the edges with a stable sort on their node pairs into a sparse
-(CSR) symmetric matrix with zero diagonal and no stored zeros plus the
-node-id map, as a ``LoadedNetwork``; a merge error names the earliest
-offending edge in the file. The network's ``labels`` hold ground truth
-when the file's node values carry it. The adjacency stays sparse through
-the fit's and the scree's eigensolves, so their cost follows the edge
-count.
+subset. Each returns the same columns, ``(us, vs, ws), (ids, labels,
+values)``: the edges' endpoints and weights, and the declared nodes'
+ids, labels and values (``None`` where a node has none), the node
+columns empty for the whitespace format. Columns hold only strings and
+floats, which the garbage collector does not track, so a load builds no
+container per edge or node and gives the collector no reason to run,
+however large the file. The GML reader splits the text on double quotes,
+so a quoted string is one token whatever it holds, splits the rest on
+whitespace and brackets, and walks the tokens once. The loader then
+names the nodes, checks the weights, and merges the edges with a stable
+sort on their node pairs into a sparse (CSR) symmetric matrix with zero
+diagonal and no stored zeros plus the node-id map, as a
+``LoadedNetwork``; a merge error names the earliest offending edge in
+the file. The network's ``labels`` hold ground truth when the file's
+node values carry it. The adjacency stays sparse through the fit's and
+the scree's eigensolves, so their cost follows the edge count.
 
 A fit is two steps: ``load_edge_list`` reads the file, and
 ``fit_network`` fits the loaded network. A caller with a sidecar label
@@ -75,14 +78,16 @@ def _weight(path, lineno, parts):
 
 
 def _edges_whitespace(path):
-    edges = []
-    with open(path) as fh:
+    us, vs, ws = [], [], []
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in _data_lines(fh, "#"):
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ParseError(f"{path}:{lineno}: expected 'u v [weight]', got {line!r}")
-            edges.append((parts[0], parts[1], _weight(path, lineno, parts)))
-    return edges, []
+            us.append(parts[0])
+            vs.append(parts[1])
+            ws.append(_weight(path, lineno, parts))
+    return (us, vs, ws), ([], [], [])
 
 
 def _edges_gml(path):
@@ -94,62 +99,80 @@ def _edges_gml(path):
     odd number of quotes is a ``ParseError``. A ``node`` or ``edge`` block
     opens on the ``[`` right after that word, wherever it appears outside
     another node or edge block. Inside it, depth-1 fields come as ``key
-    value`` pairs and the first occurrence of a key wins; a bracket after
-    a key drops the key, and deeper blocks (``graphics [ ... ]``) are
-    skipped.
+    value`` pairs, read two tokens at a time, and the first occurrence of
+    a key wins; a bracket after a key drops the key, and deeper blocks
+    (``graphics [ ... ]``) are skipped. Only the fields the loader uses
+    are kept: ``id``, ``label`` and ``value`` of a node, and ``source``,
+    ``target``, ``value`` and ``weight`` of an edge.
     """
-    parts = Path(path).read_text().split('"')
+    parts = Path(path).read_text(encoding="utf-8").split('"')
     if len(parts) % 2 == 0:
         raise ParseError(f"{path}: unbalanced quote")
     tokens = chain.from_iterable(
         [f'"{part}"'] if k % 2 else part.replace("[", " [ ").replace("]", " ] ").split()
         for k, part in enumerate(parts))
-    edges = []
-    nodes = []
-    kind = prev = key = None
+    us, vs, ws = [], [], []
+    ids, labels, values = [], [], []
+    edge = None  # True in an edge block, False in a node block, None outside both
+    prev = None
     for tok in tokens:
-        if kind is None:
-            if tok == "[" and prev in ("node", "edge"):
-                kind, depth, fields = prev, 1, {}
+        if edge is None:
+            if tok == "[" and (prev == "edge" or prev == "node"):
+                edge, depth = prev == "edge", 1
+                # id or source, label or target, value, weight
+                a = b = value = weight = None
             prev = tok
-        elif tok == "[":
+            continue
+        if depth == 1 and tok != "[" and tok != "]":
+            key, tok = tok, next(tokens, None)
+            if tok is None:
+                break
+            if tok != "[" and tok != "]":
+                if key == ("source" if edge else "id"):
+                    if a is None:
+                        a = tok.strip('"')
+                elif key == ("target" if edge else "label"):
+                    if b is None:
+                        b = tok.strip('"')
+                elif key == "value":
+                    if value is None:
+                        value = tok.strip('"')
+                elif key == "weight" and edge and weight is None:
+                    weight = tok.strip('"')
+                continue
+        if tok == "[":
             depth += 1
         elif tok == "]":
             depth -= 1
-            key = None
-            if depth == 0:
-                if kind == "node":
-                    if "id" not in fields:
-                        raise ParseError(f"{path}: node block without id")
-                    nodes.append((fields["id"], fields.get("label", fields["id"]),
-                                  fields.get("value")))
-                else:
-                    if "source" not in fields or "target" not in fields:
-                        raise ParseError(f"{path}: edge block without source/target")
-                    u, v = fields["source"], fields["target"]
-                    raw = fields.get("value", fields.get("weight", "1"))
-                    try:
-                        w = float(raw)
-                    except ValueError:
-                        raise ParseError(f"{path}: bad weight {raw!r} on edge {u!r}-{v!r}")
-                    edges.append((u, v, w))
-                kind = prev = None
-        elif depth == 1:
-            if key is None:
-                key = tok
+            if depth:
+                continue
+            if edge:
+                if a is None or b is None:
+                    raise ParseError(f"{path}: edge block without source/target")
+                raw = value if value is not None else weight
+                try:
+                    ws.append(1.0 if raw is None else float(raw))
+                except ValueError:
+                    raise ParseError(f"{path}: bad weight {raw!r} on edge {a!r}-{b!r}")
+                us.append(a)
+                vs.append(b)
             else:
-                fields.setdefault(key, tok.strip('"'))
-                key = None
-    if kind is not None:
+                if a is None:
+                    raise ParseError(f"{path}: node block without id")
+                ids.append(a)
+                labels.append(a if b is None else b)
+                values.append(value)
+            edge = prev = None
+    if edge is not None:
         raise ParseError(f"{path}: unterminated block")
-    return edges, nodes
+    return (us, vs, ws), (ids, labels, values)
 
 
 def _edges_pajek(path):
-    edges = []
-    nodes = []
+    us, vs, ws = [], [], []
+    ids, labels = [], []
     mode = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in _data_lines(fh, "%"):
             low = line.lower()
             if low.startswith("*vertices"):
@@ -161,15 +184,18 @@ def _edges_pajek(path):
             if mode == "vertices":
                 m = re.match(r'(\d+)\s+"([^"]*)"', line) or re.match(r"(\d+)\s+(\S+)", line)
                 nid, label = m.groups() if m else (line.split()[0],) * 2
-                nodes.append((nid, label, None))
+                ids.append(nid)
+                labels.append(label)
             elif mode == "edges":
                 parts = line.split()
                 if len(parts) < 2:
                     raise ParseError(f"{path}:{lineno}: bad edge line {line!r}")
-                edges.append((parts[0], parts[1], _weight(path, lineno, parts)))
+                us.append(parts[0])
+                vs.append(parts[1])
+                ws.append(_weight(path, lineno, parts))
             else:
                 raise ParseError(f"{path}:{lineno}: content before any *Vertices/*Edges section")
-    return edges, nodes
+    return (us, vs, ws), (ids, labels, [None] * len(ids))
 
 
 _PARSERS = {"whitespace_triplets": _edges_whitespace, "gml_like": _edges_gml,
@@ -198,22 +224,19 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if symmetrize not in SYMMETRIZE:
         raise ValueError(f"unknown symmetrize {symmetrize!r}; expected one of {SYMMETRIZE}")
-    edges, nodes = _PARSERS[format](path)
+    (us, vs, ws), (nids, labels, node_values) = _PARSERS[format](path)
     declared = set()
-    for nid, _, _ in nodes:
+    for nid in nids:
         if nid in declared:
             raise ParseError(f"{path}: node id {nid!r} declared twice")
         declared.add(nid)
 
     # prefer declared labels as node identities, but only when unique:
     # some public files carry duplicate labels under distinct ids
-    label_list = [label for _, label, _ in nodes]
-    use_labels = len(set(label_list)) == len(label_list)
-    name = {nid: (label if use_labels else nid) for nid, label, _ in nodes}
-    us, vs, ws = zip(*edges) if edges else ((), (), ())
-    del edges  # the parsed triples would outlive the merge and raise its peak memory
+    names = labels if len(set(labels)) == len(labels) else nids
+    name = dict(zip(nids, names))
     us, vs = list(map(name.get, us, us)), list(map(name.get, vs, vs))
-    values = {name[nid]: value for nid, _, value in nodes if value is not None}
+    values = {x: value for x, value in zip(names, node_values) if value is not None}
     W = np.array(ws, dtype=float)
     bad = np.flatnonzero(~np.isfinite(W))
     if bad.size:
@@ -221,8 +244,7 @@ def load_edge_list(path, format="whitespace_triplets", symmetrize="strict",
         raise ParseError(f"{path}: non-finite weight {ws[e]} on edge {us[e]!r}-{vs[e]!r}")
 
     # declared nodes first, then the others in order of first appearance
-    ids = list(dict.fromkeys(chain((name[nid] for nid, _, _ in nodes),
-                                   chain.from_iterable(zip(us, vs)))))
+    ids = list(dict.fromkeys(chain(names, chain.from_iterable(zip(us, vs)))))
     if len(ids) < 2:
         raise ParseError(f"{path}: fewer than 2 nodes")
     index = {x: i for i, x in enumerate(ids)}
@@ -292,7 +314,7 @@ def load_labels(path, ids):
     """Sidecar ground-truth labels: lines of 'id label', one per node id
     (a repeated id is a ``ParseError``). Returns 1-based ints."""
     raw = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in _data_lines(fh, "#"):
             parts = line.split()
             if len(parts) != 2:
@@ -339,13 +361,13 @@ class FitReport:
 
     def write_csv(self, path):
         K = self.result.Pi_hat.shape[1]
-        with open(path, "w", newline="") as fh:
+        pi = [[f"{x:.8g}" for x in col] for col in self.result.Pi_hat.T.tolist()]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "home_base", "highly_mixed"]
                             + [f"pi_{k + 1}" for k in range(K)])
-            for i, node_id in enumerate(self.network.ids):
-                writer.writerow([node_id, int(self.home_base[i]), int(self.highly_mixed[i])]
-                                + [f"{x:.8g}" for x in self.result.Pi_hat[i]])
+            writer.writerows(zip(self.network.ids, self.home_base.tolist(),
+                                 self.highly_mixed.astype(int).tolist(), *pi))
 
     def summary(self):
         out = {

@@ -26,6 +26,24 @@ def data_dir(tmp_path_factory):
     return out
 
 
+def write_blogs(path, seed=5):
+    """A small directed GML network: two planted communities of 30 nodes
+    with 0/1 values, some arcs in both directions, a self loop and an
+    isolated pair, and nested ``graphics`` blocks."""
+    rng = np.random.default_rng(seed)
+    n = 64
+    side = np.r_[np.zeros(30, int), np.ones(30, int), rng.integers(0, 2, 4)]
+    p = np.where(side[:60, None] == side[None, :60], 0.3, 0.04)
+    arcs = [(u, v) for u, v in zip(*np.nonzero(np.triu(rng.random((60, 60)) < p, 1)))]
+    arcs = [(v, u) if flip else (u, v) for (u, v), flip in zip(arcs, rng.random(len(arcs)) < 0.5)]
+    arcs += [(v, u) for u, v in arcs[::7]] + [(3, 3), (60, 61)]
+    path.write_text("graph [\n  directed 1\n" + "".join(
+        f'  node [ id {k + 1} label "blog {k + 1}" value {side[k]} '
+        f"graphics [ x {k} y {k % 5} ] ]\n" for k in range(n)) + "".join(
+        f"  edge [ source {u + 1} target {v + 1} ]\n" for u, v in arcs) + "]\n",
+        encoding="utf-8")
+
+
 def polblogs_path():
     """User-provided political-weblogs file; tests skip when absent."""
     candidates = [

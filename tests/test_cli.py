@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spectralmix
-from conftest import sweep_draw
+from conftest import sweep_draw, write_blogs
 from spectralmix import corners, estimators, harness
 from spectralmix.cli import main
 from spectralmix.model import EdgeDistribution
@@ -124,14 +124,43 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "missing field(s): mixed_profiles" in err
 
 
-def run_fresh_python(code):
-    """stdout of ``code`` in a fresh process, pointed at the package under
-    test, so nothing this test session has imported counts."""
+def run_fresh_python(code, *options):
+    """stdout of ``code`` in a fresh process, started with the interpreter
+    ``options`` and pointed at the package under test, so nothing this
+    test session has imported counts."""
     src = Path(spectralmix.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True).stdout
+    return subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+def test_files_are_read_and_written_as_utf8(data_dir, tmp_path):
+    # an open() without an encoding raises EncodingWarning, here an error
+    write_blogs(tmp_path / "blogs.gml")
+    cfg = harness.experiment_config(2, n=80, n0=8, replicates=2, master_seed=3)
+    cfg.rho_grid = [0.5]
+    (tmp_path / "sweep.json").write_text(cfg.to_json(), encoding="utf-8")
+    runs = [
+        ["fit", "--file", data_dir / "karate.tsv", "--k", "2",
+         "--labels", data_dir / "karate_labels.tsv", "--out", tmp_path / "karate"],
+        ["fit", "--file", tmp_path / "blogs.gml", "--format", "gml_like", "--symmetrize", "or",
+         "--k", "2", "--out", tmp_path / "blogs"],
+        ["scree", "--file", data_dir / "karate.tsv"],
+        ["simulate", "--config", tmp_path / "sweep.json", "--out", tmp_path / "sweep"],
+        ["setup", "--id", "1", "--reps", "2", "--out", tmp_path / "setup"],
+    ]
+    code = f"""if True:
+        import contextlib, io
+        from spectralmix.cli import main
+        for argv in {[list(map(str, argv)) for argv in runs]!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+    """
+    run_fresh_python(code, "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    for out in ("karate/summary.json", "blogs/memberships.csv", "sweep/sweep.csv",
+                "setup/setup1.json"):
+        assert (tmp_path / out).stat().st_size > 0
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,3 +1,4 @@
+import csv
 import gc
 import math
 import re
@@ -154,7 +155,33 @@ class TestGml:
     def test_quoted_text_keeps_brackets_and_splits_from_bare_text(self, tmp_path):
         path = tmp_path / "quoted.gml"
         path.write_text('graph [ node [ id 1 label "x [ y ]" ] node [ id 2 label a"b c" ] ]')
-        assert netio._edges_gml(path)[1] == [("1", "x [ y ]", None), ("2", "a", None)]
+        assert read_gml(path)[1] == [("1", "x [ y ]", None), ("2", "a", None)]
+
+    @pytest.mark.parametrize("text,expected", [
+        # a bracket where a key should be opens a skipped block
+        ("graph [ node [ [ x ] id 1 ] ]", ([], [("1", "1", None)])),
+        # a bracket where a value should be drops the key
+        ("graph [ node [ id [ 2 ] id 3 ] ]", ([], [("3", "3", None)])),
+        ("graph [ edge [ source 1 target 2 value [ 3 ] weight 4 ] ]",
+         ([("1", "2", 4.0)], [])),
+        # the file ends where a key's value should be
+        ("graph [ node [ id", "unterminated block"),
+        ("graph [ edge [ source 1 target", "unterminated block"),
+        # node and edge blocks inside a node or edge block are skipped
+        ("graph [ node [ id 1 edge [ source 1 target 2 ] ] "
+         "edge [ source 1 target 2 node [ id 9 ] ] node [ id 2 ] ]",
+         ([("1", "2", 1.0)], [("1", "1", None), ("2", "2", None)])),
+        # the first occurrence of a key wins
+        ("graph [ edge [ source 1 source 5 target 2 ] ]", ([("1", "2", 1.0)], [])),
+    ], ids=["bracket-for-key", "bracket-for-value", "bracket-for-weight", "cut-after-id",
+            "cut-after-target", "nested-blocks", "first-source-wins"])
+    def test_two_token_step(self, tmp_path, text, expected):
+        path = tmp_path / "pinned.gml"
+        path.write_text(text)
+        got = outcome(read_gml, path)
+        assert got == outcome(gml_reference, path)
+        assert got == (f"ParseError: {path}: {expected}" if isinstance(expected, str)
+                       else expected)
 
     def test_matches_networkx(self, tmp_path):
         nx = pytest.importorskip("networkx")
@@ -287,6 +314,13 @@ class TestLargestComponent:
         assert net.removed_nodes == 2
 
 
+def records(columns):
+    """A reader's columns, ``(us, vs, ws), (ids, labels, values)``, zipped
+    back into ``(u, v, weight)`` edge and ``(id, label, value)`` node records."""
+    edges, nodes = columns
+    return list(zip(*edges)), list(zip(*nodes))
+
+
 _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
 
 
@@ -341,8 +375,10 @@ def load_reference(path, format, symmetrize, unweighted):
     edge in file order: an edge whose direction its pair has already seen
     is a duplicate, each later edge of a pair is checked against the pair's
     first edge's weight, and the first failing check raises."""
-    parse = gml_reference if format == "gml_like" else netio._PARSERS[format]
-    edges, nodes = parse(path)
+    if format == "gml_like":
+        edges, nodes = gml_reference(path)
+    else:
+        edges, nodes = records(netio._PARSERS[format](path))
     declared = set()
     for nid, _, _ in nodes:
         if nid in declared:
@@ -393,6 +429,11 @@ def load_reference(path, format, symmetrize, unweighted):
     labels = (netio._number_labels(raw) if values and all(r is not None for r in raw)
               else None)
     return csr_matrix(A), ids, labels, self_loops
+
+
+def read_gml(path):
+    """``_edges_gml``'s columns as records, to compare with ``gml_reference``."""
+    return records(netio._edges_gml(path))
 
 
 def outcome(load, *args):
@@ -499,7 +540,7 @@ class TestReferenceMerge:
         path = tmp_path / "soup.gml"
         for _ in range(300):
             path.write_text(random_gml_soup(rng))
-            assert outcome(netio._edges_gml, path) == outcome(gml_reference, path)
+            assert outcome(read_gml, path) == outcome(gml_reference, path)
             for symmetrize, unweighted in MODES:
                 same_network(path, "gml_like", symmetrize, unweighted)
 
@@ -597,6 +638,62 @@ class TestScree:
     def test_fewer_than_two_values_rejected(self):
         with pytest.raises(ValueError, match="at least 2 singular values"):
             scree_report(np.eye(3), 1)
+
+
+def write_csv_rows(report, path):
+    """``FitReport.write_csv`` one ``writerow`` per node, as it was before
+    it wrote columns: the oracle for the column writer."""
+    K = report.result.Pi_hat.shape[1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "home_base", "highly_mixed"]
+                        + [f"pi_{k + 1}" for k in range(K)])
+        for i, node_id in enumerate(report.network.ids):
+            writer.writerow([node_id, int(report.home_base[i]), int(report.highly_mixed[i])]
+                            + [f"{x:.8g}" for x in report.result.Pi_hat[i]])
+
+
+class TestWriteCsv:
+    """The column writer against the row-by-row one, on Les Miserables with
+    node names that csv must quote."""
+
+    # a comma, a space and a newline in quoted GML labels
+    GML_NAMES = {"Myriel": "Myriel, bishop", "Napoleon": "Napoleon I",
+                 "Valjean": "Jean\nValjean"}
+    # a comma and a double quote in bare whitespace ids
+    TSV_NAMES = {"Myriel": "Myriel,bishop", "Napoleon": 'Napoleon"I"'}
+
+    @classmethod
+    def network(cls, data_dir, tmp_path, fmt):
+        edges = [line.split() for line in (data_dir / "lesmis.tsv").read_text().splitlines()]
+        if fmt == "whitespace_triplets":
+            path = tmp_path / "lesmis.tsv"
+            path.write_text("".join(f"{cls.TSV_NAMES.get(u, u)} {cls.TSV_NAMES.get(v, v)} {w}\n"
+                                    for u, v, w in edges))
+            return load_edge_list(path)
+        names = list(dict.fromkeys(x for u, v, _ in edges for x in (u, v)))
+        number = {x: k for k, x in enumerate(names, 1)}
+        path = tmp_path / "lesmis.gml"
+        path.write_text("graph [\n" + "".join(
+            f'node [ id {number[x]} label "{cls.GML_NAMES.get(x, x)}" ]\n' for x in names)
+            + "".join(f"edge [ source {number[u]} target {number[v]} value {w} ]\n"
+                      for u, v, w in edges) + "]\n")
+        return load_edge_list(path, format="gml_like")
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("fmt", ["whitespace_triplets", "gml_like"])
+    def test_matches_row_writer(self, tmp_path, data_dir, fmt, K):
+        network = self.network(data_dir, tmp_path, fmt)
+        special = self.TSV_NAMES if fmt == "whitespace_triplets" else self.GML_NAMES
+        assert set(special.values()) <= set(network.ids)
+        report = fit_network(network, K, method="scd", seed=0)
+        report.write_csv(tmp_path / "columns.csv")
+        write_csv_rows(report, tmp_path / "rows.csv")
+        got = (tmp_path / "columns.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        rows = list(csv.reader(got.decode("utf-8").splitlines(keepends=True)))
+        assert len(rows) == network.n + 1
+        assert [row[0] for row in rows[1:]] == network.ids
 
 
 class TestFitNetwork:
