@@ -4,8 +4,10 @@ four canonical small demonstration set-ups.
 Replicate seeds derive from (master_seed, grid index, replicate index)
 through one seed sequence, so a sweep is reproducible bit-for-bit and
 replicates can run in any order and in any process: ``run_sweep`` fits
-them in forked workers. A set-up is a one-point sweep and runs through
-the same replicate loop.
+them in forked workers. The workers are kept between calls while the
+package stands as they were forked from it, serve one sweep at a time,
+and exit at interpreter exit or when the process that forked them dies.
+A set-up is a one-point sweep and runs through the same replicate loop.
 
 Every draw goes through one spectral stage: ``spectral.top_k_eigs`` runs
 once on the draw's adjacency, and the resulting ``SpectralPair`` is handed
@@ -21,6 +23,8 @@ import functools
 import json
 import numbers
 import os
+import sys
+import threading
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -86,10 +90,15 @@ class ExperimentConfig:
             raise ValueError(f"rho grid must be nonempty, finite and positive, got {self.rho_grid}")
         if not isinstance(self.distribution, _model.EdgeDistribution):
             raise ValueError(f"distribution must be an EdgeDistribution, got {self.distribution!r}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         unknown = [m for m in self.methods if m not in _estimators.ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown method(s) {', '.join(map(repr, unknown))}; "
                              f"expected one of {sorted(_estimators.ESTIMATORS)}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"method(s) {', '.join(map(repr, repeated))} listed more than once")
 
     def block_matrix(self):
         P = np.full((self.K, self.K), self.p_offdiag, dtype=float)
@@ -217,6 +226,113 @@ def _fit_replicate(cfg, P, Pi, task):
     return fits
 
 
+def _exit_with_parent():
+    """Worker initializer: exit as soon as the process that forked this
+    worker dies, even by SIGKILL, rather than wait on its call queue for
+    ever. The parent's sentinel reads end-of-file when it dies."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _package_state():
+    """What a worker reads from this package, as one flat list of objects:
+    each loaded module of the package and its globals, and, at any depth,
+    the items of dicts and the attributes of the package's own classes
+    that those globals hold. A patch to any of them (``setattr`` on a
+    module or on a class such as ``model.EdgeDistribution``, ``setitem``
+    on a registry such as ``estimators.ESTIMATORS``) gives a list whose
+    objects are not the same (``is``); the list holds references, so no
+    id is reused while it is kept. State outside the package is not in
+    it: numpy's error state, warning filters, ``os.environ``, patches to
+    numpy, scipy or other packages, and attributes of instances.
+    ``__builtins__`` is the interpreter's, and an interactive session
+    rebinds its ``_`` at every result, so it is left out."""
+    package = __name__.rpartition(".")[0]
+
+    def ours(name):
+        return name == package or name.startswith(package + ".")
+
+    state, walked, pending = [], set(), []
+    for name, module in list(sys.modules.items()):
+        if ours(name):
+            state += (name, module)
+            pending.append(vars(module))
+    while pending:
+        for key, value in pending.pop().items():
+            if key == "__builtins__":
+                continue
+            state += (key, value)
+            if id(value) not in walked and (
+                    isinstance(value, dict) or isinstance(value, type) and ours(value.__module__)):
+                walked.add(id(value))
+                pending.append(vars(value) if isinstance(value, type) else value)
+    return state
+
+
+class _SharedWorkers:
+    """The forked worker pool that ``run_sweep`` keeps between calls.
+
+    The pool holds the sweep's worker count (one per replicate task, up to
+    one per usable CPU) and belongs to the process that forked it. It is
+    reused by a sweep with the same worker count while the package stands
+    as its workers were forked from it (``_package_state``); otherwise it
+    is shut down and a new one forked. It serves one sweep at a time
+    (``lock``). An exception that leaves a sweep, or a broken pool, shuts
+    it down. A forked child forgets an inherited pool without touching
+    it. Idle workers exit at interpreter exit, when ``concurrent.futures``
+    shuts every pool down, or when their owner dies
+    (``_exit_with_parent``).
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.key = self.state = self.pool = None
+
+    def pool_for(self, jobs):
+        key, state = (os.getpid(), jobs), _package_state()
+        if self.pool is not None and (
+                self.key != key or getattr(self.pool, "_broken", False)
+                or len(self.state) != len(state)
+                or any(a is not b for a, b in zip(self.state, state))):
+            self.drop()
+        if self.pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork, not spawn: a worker inherits the caller's modules as they
+            # stand, patched attributes included, and imports nothing again;
+            # the executor, unlike multiprocessing.Pool, reports a worker
+            # exception it cannot rebuild as BrokenProcessPool, not a hang
+            self.pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                                            initializer=_exit_with_parent)
+            self.key, self.state = key, state
+        return self.pool
+
+    def drop(self, cancel_futures=False):
+        """Forget the pool; shut it down, joining its threads, if this
+        process owns it."""
+        pool, key = self.pool, self.key
+        self.key = self.state = self.pool = None
+        if pool is not None and key[0] == os.getpid():
+            pool.shutdown(cancel_futures=cancel_futures)
+
+    def drop_on_error(self, exc_type, exc, tb):
+        # on an early exit, replicates not yet started are dropped
+        if exc_type is not None:
+            self.drop(cancel_futures=True)
+
+
+_WORKERS = _SharedWorkers()
+
+
 def run_sweep(cfg, progress=None):
     """Run every (grid point, replicate, method) cell of a sweep.
 
@@ -233,10 +349,21 @@ def run_sweep(cfg, progress=None):
     reason instead of clamped; ``progress`` is called for valid points only,
     in grid order.
 
-    Replicates are fitted in worker processes forked for this call, one
-    per usable CPU and at most one per replicate, or in this process when
-    that is one worker. A replicate's seeds do not depend on where it
-    runs, so the tables are the same for any worker count.
+    Replicates are fitted in forked worker processes, one per replicate
+    task up to one per usable CPU, or in this process when that is fewer
+    than two. The workers are kept for the next call with as many: they
+    pay off when a process runs several sweeps, and a process that runs
+    one sweep forks them once, as it would anyway. They are reused while
+    every object that ``_package_state`` lists (the package's globals, at
+    any depth the items of its dicts and the attributes of its classes)
+    is the one it was when they were forked; a patch to any of these
+    forks new ones. Other state, such as numpy's error state, warning
+    filters, ``os.environ`` or patches to other packages, stays in the
+    workers as it was at their fork. They serve one sweep at a time: a
+    sweep started while another holds them, from another thread or from
+    ``progress``, fits in process. An exception leaving this call shuts
+    them down. A replicate's seeds do not depend on where it runs, so the
+    tables are the same for any worker count.
     """
     Pi = cfg.membership()
     P = cfg.block_matrix()
@@ -254,20 +381,13 @@ def run_sweep(cfg, progress=None):
     table = {}
     invalid = {}
     with contextlib.ExitStack() as stack:
-        if jobs < 2:
-            results = map(fit, tasks)
+        if jobs >= 2 and _WORKERS.lock.acquire(blocking=False):
+            stack.callback(_WORKERS.lock.release)
+            stack.push(_WORKERS.drop_on_error)
+            results = _WORKERS.pool_for(jobs).map(fit, tasks,
+                                                  chunksize=max(1, len(tasks) // (4 * jobs)))
         else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork, not spawn: a worker inherits the caller's modules as they
-            # stand, patched attributes included, and imports nothing again;
-            # the executor, unlike multiprocessing.Pool, reports a worker
-            # exception it cannot rebuild as BrokenProcessPool, not a hang
-            pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
-            # on an early exit, replicates not yet started are dropped
-            stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(fit, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
+            results = map(fit, tasks)
         for rho, reason in zip(cfg.rho_grid, screen):
             if reason:
                 invalid[rho] = reason

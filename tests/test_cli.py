@@ -215,6 +215,8 @@ SMALL_FILES = {
     "six_nodes.tsv": "v0 v3\nv0 v4\nv0 v5\nv1 v2\nv1 v4\nv1 v5\nv2 v4\nv3 v5\n",
     "zero_weights.tsv": "a b 0\nc d 0\ne f 0\n",
     "bogus_method.json": edited_config(methods=["scd", "bogus"]),
+    "no_methods.json": edited_config(methods=[]),
+    "repeated_method.json": edited_config(methods=["scd", "scd"]),
     "float_replicates.json": edited_config(replicates=2.5),
     "float_k.json": edited_config(K=3.0),
     "empty_distribution.json": edited_config(distribution={}),
@@ -238,6 +240,9 @@ SMALL_FILES = {
     (["fit", "--file", "zero_weights.tsv", "--k", "2"], "matrix is all zero"),
     (["scree", "--file", "zero_weights.tsv"], "matrix is all zero"),
     (["simulate", "--config", "bogus_method.json"], "unknown method(s) 'bogus'"),
+    (["simulate", "--config", "no_methods.json"], "methods must name at least one method"),
+    (["simulate", "--config", "repeated_method.json"],
+     "method(s) 'scd' listed more than once"),
     (["simulate", "--config", "float_replicates.json"], "replicates must be an integer, got 2.5"),
     (["simulate", "--config", "float_k.json"], "K must be an integer, got 3.0"),
     (["simulate", "--config", "empty_distribution.json"],
@@ -252,7 +257,8 @@ SMALL_FILES = {
      "rho grid must be nonempty, finite and positive"),
 ], ids=["fit-k1", "scree-top1", "fit-missing-file", "simulate-missing-config", "setup-reps0",
         "fit-labels-missing-nodes", "fit-singular-corner-block", "fit-zero-weights",
-        "scree-zero-weights", "simulate-unknown-method", "simulate-float-replicates",
+        "scree-zero-weights", "simulate-unknown-method", "simulate-no-methods",
+        "simulate-repeated-method", "simulate-float-replicates",
         "simulate-float-k", "simulate-empty-distribution", "simulate-string-distribution",
         "simulate-float-seed", "simulate-string-self-loops", "simulate-nan-rho",
         "simulate-infinite-rho"])
@@ -261,6 +267,8 @@ def test_bad_input_exits_2_with_one_line(data_dir, tmp_path, capsys, argv, messa
         (tmp_path / name).write_text(text)
     argv = [str((tmp_path if a in SMALL_FILES else data_dir) / a)
             if a.endswith((".tsv", ".json")) else a for a in argv]
+    if argv[0] in ("simulate", "setup"):  # a config that loads must not write into the cwd
+        argv += ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -236,9 +237,40 @@ two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                               reason="fewer than 2 usable CPUs: every sweep runs in process")
 
 
+def worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+# runs a 40-task sweep in a new process; the first progress call prints the
+# worker pids, and with "kill" the process then SIGKILLs itself mid-sweep
+OWNER_SCRIPT = """
+import multiprocessing, os, signal, sys
+from spectralmix.harness import experiment_config, run_sweep
+
+def progress(rho, means):
+    if rho == 0.1:
+        print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+        if sys.argv[1] == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+
+run_sweep(experiment_config(1, n=80, n0=8, replicates=2), progress=progress)
+"""
+
+
 class TestWorkers:
     """``run_sweep`` fits replicates in forked workers when two or more CPUs
-    are usable, and in process otherwise, with the same tables."""
+    are usable, and in process otherwise, with the same tables. The workers
+    are kept between sweeps while the package is unpatched since their
+    fork, and exit with their owner."""
 
     @staticmethod
     def one_cpu(monkeypatch):
@@ -315,6 +347,171 @@ class TestWorkers:
             run_sweep(cfg, progress=stop)
         assert multiprocessing.active_children() == []
         assert calls.read_text().count("\n") < len(cfg.rho_grid) * cfg.replicates
+
+    @two_cpus
+    def test_back_to_back_sweeps_share_the_workers(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids"
+        log_eigensolves(monkeypatch, pids)
+        first = untimed(run_sweep(tiny_config()))
+        workers = worker_pids()
+        assert len(workers) == min(len(os.sched_getaffinity(0)), 4)  # one per task at most
+        assert untimed(run_sweep(tiny_config())) == first
+        assert worker_pids() == workers
+        assert set(map(int, pids.read_text().split())) <= workers
+
+    @two_cpus
+    def test_patches_reach_the_workers_and_their_undoing_too(self, monkeypatch, tmp_path):
+        def always_fails(A, K, seed=0, pair=None):
+            raise estimators.EstimationError("corner block is singular")
+
+        original = untimed(run_sweep(tiny_config()))
+        pids = tmp_path / "pids"
+        log_eigensolves(monkeypatch, pids)
+        assert untimed(run_sweep(tiny_config())) == original
+        assert str(os.getpid()) not in pids.read_text().split()
+        monkeypatch.setitem(estimators.ESTIMATORS, "dfsp", always_fails)
+        sweep = run_sweep(tiny_config())
+        assert sweep.valid_grid() == []
+        assert all("dfsp failed on all 2 replicates" in r for r in sweep.invalid.values())
+        monkeypatch.undo()
+        pids.unlink()
+        assert untimed(run_sweep(tiny_config())) == original
+        assert not pids.exists()
+
+    @two_cpus
+    def test_class_and_nested_patches_reach_the_workers(self, monkeypatch):
+        original = untimed(run_sweep(tiny_config()))
+        workers = worker_pids()
+        monkeypatch.setitem(harness.SETUP_PARAMS[1], "n", 17)
+        assert untimed(run_sweep(tiny_config())) == original
+        assert worker_pids().isdisjoint(workers)
+        # every draw all zero: every eigensolve fails, in every worker
+        monkeypatch.setattr(model.EdgeDistribution, "sample",
+                            lambda self, means, rng: np.zeros(np.shape(means)))
+        sweep = run_sweep(tiny_config())
+        assert sweep.valid_grid() == [] and len(sweep.invalid) == 2
+        monkeypatch.undo()
+        assert untimed(run_sweep(tiny_config())) == original
+
+    @two_cpus
+    def test_workers_number_at_most_one_per_task(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5})
+        two_tasks = tiny_config(rho_grid=[0.5])
+        expected = untimed(run_sweep(two_tasks))
+        assert len(worker_pids()) == 2
+        run_sweep(tiny_config())
+        assert len(worker_pids()) == 4
+        assert untimed(run_sweep(two_tasks)) == expected
+        assert len(worker_pids()) == 2
+
+    @two_cpus
+    def test_worker_error_gives_the_next_sweep_fresh_workers(self, monkeypatch):
+        real_top_k_eigs = spectral.top_k_eigs
+
+        def fails_at_n30(M, K):
+            if M.shape[0] == 30:
+                raise RuntimeError("stub failed in a worker")
+            return real_top_k_eigs(M, K)
+
+        monkeypatch.setattr(spectral, "top_k_eigs", fails_at_n30)
+        run_sweep(tiny_config())
+        before = worker_pids()
+        with pytest.raises(RuntimeError, match="^stub failed in a worker$"):
+            run_sweep(tiny_config(n=30, n0=9))
+        assert multiprocessing.active_children() == []
+        in_workers = untimed(run_sweep(tiny_config()))
+        assert worker_pids().isdisjoint(before)
+        self.one_cpu(monkeypatch)
+        assert untimed(run_sweep(tiny_config())) == in_workers
+
+    @two_cpus
+    def test_pool_broken_while_idle_is_not_reused(self):
+        expected = untimed(run_sweep(tiny_config()))
+        os.kill(min(worker_pids()), signal.SIGKILL)
+        # the pool notices the death, ends its other workers and joins them
+        deadline = time.monotonic() + 30
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
+        assert untimed(run_sweep(tiny_config())) == expected
+        assert len(worker_pids()) == min(len(os.sched_getaffinity(0)), 4)
+
+    @two_cpus
+    def test_sweep_started_while_the_workers_are_busy_fits_in_process(self, monkeypatch,
+                                                                      tmp_path):
+        solves = tmp_path / "solves"
+        real_top_k_eigs = spectral.top_k_eigs
+
+        def logged(M, K):
+            with open(solves, "a") as fh:
+                fh.write(f"{M.shape[0]} {os.getpid()}\n")
+            return real_top_k_eigs(M, K)
+
+        inner = tiny_config(n=30, n0=9)
+        expected = untimed(run_sweep(inner))
+        monkeypatch.setattr(spectral, "top_k_eigs", logged)
+        nested = []
+
+        def progress(rho, means):
+            nested.append(untimed(run_sweep(inner)))
+
+        run_sweep(tiny_config(), progress=progress)
+        assert nested == [expected] * 2
+        solved_in = {}
+        for line in solves.read_text().splitlines():
+            n, pid = map(int, line.split())
+            solved_in.setdefault(n, set()).add(pid)
+        assert solved_in[30] == {os.getpid()} and os.getpid() not in solved_in[36]
+
+    @two_cpus
+    # Python 3.12 warns of a fork while the pool's threads run
+    @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks")
+    def test_forked_child_leaves_the_inherited_workers_alone(self, tmp_path):
+        expected = untimed(run_sweep(tiny_config()))
+        workers = worker_pids()
+        pid = os.fork()
+        if pid == 0:  # the child: sweep on its own workers, then shut them down
+            code = 1
+            try:
+                code = 0 if untimed(run_sweep(tiny_config())) == expected else 2
+                harness._WORKERS.drop()
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        reaped, status = os.waitpid(pid, os.WNOHANG)
+        while not reaped and time.monotonic() < deadline:
+            time.sleep(0.05)
+            reaped, status = os.waitpid(pid, os.WNOHANG)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's sweep did not end within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert untimed(run_sweep(tiny_config())) == expected
+        assert worker_pids() == workers and all(map(running, workers))
+
+    @two_cpus
+    @pytest.mark.parametrize("how", ["exit", "kill"])
+    def test_workers_end_with_their_owner(self, how, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(spectralmix.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        # files, not pipes: orphaned workers would hold a pipe open
+        out, err = tmp_path / "pids", tmp_path / "err"
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            owner = subprocess.run([sys.executable, "-c", OWNER_SCRIPT, how], env=env,
+                                   stdout=stdout, stderr=stderr, timeout=120)
+        pids = [int(p) for p in out.read_text().split()]
+        try:
+            assert owner.returncode == (-signal.SIGKILL if how == "kill" else 0), err.read_text()
+            assert len(pids) == min(len(os.sched_getaffinity(0)), 40)
+            for _ in range(100):
+                if not any(map(running, pids)):
+                    break
+                time.sleep(0.1)
+            assert not any(map(running, pids))
+        finally:
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_progress_fires_once_per_valid_point_in_grid_order(self):
         # at rho = 1.2 the pure-pair bernoulli mean is 1.44 > 1
@@ -482,6 +679,19 @@ class TestExperimentConfigs:
         raw["methods"] = "scd"  # a string, not a list: iterates as 's', 'c', 'd'
         with pytest.raises(ValueError, match=r"unknown method\(s\) 's', 'c', 'd';"):
             ExperimentConfig.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("methods, message", [
+        ([], "^methods must name at least one method$"),
+        (["scd", "scd"], r"^method\(s\) 'scd' listed more than once$"),
+        (["dfsp", "scd", "dfsp", "scd"], r"^method\(s\) 'dfsp', 'scd' listed more than once$"),
+    ], ids=["empty", "repeated", "two-repeated"])
+    def test_empty_or_repeated_methods_rejected_at_load(self, methods, message):
+        raw = json.loads(tiny_config().to_json())
+        raw["methods"] = methods
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(json.dumps(raw))
+        with pytest.raises(ValueError, match=message):
+            tiny_config(methods=tuple(methods))
 
     def test_bad_id(self):
         with pytest.raises(ValueError):
