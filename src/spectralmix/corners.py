@@ -124,19 +124,24 @@ def one_class_margin(points):
     ``HULL_TOL`` puts the origin in the rows' convex hull (u / sum(u) are
     convex weights with Y'u ~ 0), so no w exists and the result is
     ``None``. Otherwise, with residual r, w = -r[:K] / r[K] and
-    ||w||^2 = 1 / ||r||^2 - 1.
+    ||w||^2 = 1 / ||r||^2 - 1, since r[K] = -||r||^2 at the solution.
+    Float resolves r[K] = sum(u) - 1 against the 1 only when ||r||^2 is
+    above about eps; below that its rounding error scales every margin
+    alike, which leaves their ranking as it is, but where r[K] rounds to
+    zero or above w is undefined, and the result is ``None`` as well. So
+    the margins are always finite.
     """
     Y = np.asarray(points, dtype=float)
     norms = np.linalg.norm(Y, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    if not np.all(np.abs(norms - 1.0) <= 1e-6):  # a NaN row fails too
         raise ValueError("one_class_margin expects unit-norm rows")
     E = np.vstack([Y.T, np.ones(len(Y))])
     f = np.zeros(E.shape[0])
     f[-1] = 1.0
     u, rnorm = _nnls(E, f)
-    if rnorm <= HULL_TOL:
-        return None
     r = E @ u - f
+    if rnorm <= HULL_TOL or not r[-1] < 0:
+        return None
     return Y @ (-r[:-1] / r[-1])
 
 

@@ -7,6 +7,8 @@ replicates can run in any order and in any process: ``run_sweep`` fits
 them in forked workers. The workers are kept between calls while the
 package stands as they were forked from it, serve one sweep at a time,
 and exit at interpreter exit or when the process that forked them dies.
+Under glibc each worker keeps the heap it frees for its next draw
+(``_worker_mallopt``); the calling process keeps its allocator as it is.
 A set-up is a one-point sweep and runs through the same replicate loop.
 
 Every draw goes through one spectral stage: ``spectral.top_k_eigs`` runs
@@ -226,12 +228,53 @@ def _fit_replicate(cfg, P, Pi, task):
     return fits
 
 
-def _exit_with_parent():
-    """Worker initializer: exit as soon as the process that forked this
-    worker dies, even by SIGKILL, rather than wait on its call queue for
-    ever. The parent's sentinel reads end-of-file when it dies."""
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+
+
+def _worker_mallopt():
+    """The ``(param, value)`` pairs that a sweep worker passes to glibc's
+    ``mallopt``, or none where ``os.confstr`` does not name glibc.
+
+    glibc returns a freed heap top above its trim threshold to the kernel,
+    and its dynamic thresholds settle at about twice one n x n array, so
+    each draw would fault back in, zero-filled, the pages the last one
+    freed. The mmap threshold is set to the ceiling that glibc's dynamic
+    threshold rises to (4 MiB times the size of a long: 32 MiB on 64-bit
+    hosts, so n x n arrays up to n = 2048 stay on the heap), and the trim
+    threshold to twice that, as glibc's dynamic rule would set it there.
+    Fixing either one turns the dynamic rule off for both."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        libc = ""
+    if not libc.startswith("glibc"):
+        return ()
+    import ctypes
+
+    mmap_max = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+    return ((_M_MMAP_THRESHOLD, mmap_max), (_M_TRIM_THRESHOLD, 2 * mmap_max))
+
+
+def _init_worker():
+    """Worker initializer. Under glibc, keep the freed heap for the next
+    draw (``_worker_mallopt``); a value that ``mallopt`` rejects (it
+    returns 0) raises, which fails the sweep with ``BrokenProcessPool``
+    rather than let it run untuned. Then exit as soon as the process that
+    forked this worker dies, even by SIGKILL, rather than wait on its
+    call queue for ever. The parent's sentinel reads end-of-file when it
+    dies."""
     import multiprocessing
     from multiprocessing.connection import wait
+
+    settings = _worker_mallopt()
+    if settings:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        for param, value in settings:
+            if mallopt(param, value) != 1:
+                raise OSError(f"glibc rejected mallopt({param}, {value})")
 
     sentinel = multiprocessing.parent_process().sentinel
 
@@ -254,7 +297,10 @@ def _package_state():
     it: numpy's error state, warning filters, ``os.environ``, patches to
     numpy, scipy or other packages, and attributes of instances.
     ``__builtins__`` is the interpreter's, and an interactive session
-    rebinds its ``_`` at every result, so it is left out."""
+    rebinds its ``_`` at every result, so it is left out. So is a class's
+    ``__slotnames__``, which pickling a task caches on the classes that
+    the task holds (``ExperimentConfig``, ``EdgeDistribution``) the first
+    time: it is no patch."""
     package = __name__.rpartition(".")[0]
 
     def ours(name):
@@ -267,7 +313,7 @@ def _package_state():
             pending.append(vars(module))
     while pending:
         for key, value in pending.pop().items():
-            if key == "__builtins__":
+            if key in ("__builtins__", "__slotnames__"):
                 continue
             state += (key, value)
             if id(value) not in walked and (
@@ -289,7 +335,7 @@ class _SharedWorkers:
     it down. A forked child forgets an inherited pool without touching
     it. Idle workers exit at interpreter exit, when ``concurrent.futures``
     shuts every pool down, or when their owner dies
-    (``_exit_with_parent``).
+    (``_init_worker``).
     """
 
     def __init__(self):
@@ -312,7 +358,7 @@ class _SharedWorkers:
             # the executor, unlike multiprocessing.Pool, reports a worker
             # exception it cannot rebuild as BrokenProcessPool, not a hang
             self.pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
-                                            initializer=_exit_with_parent)
+                                            initializer=_init_worker)
             self.key, self.state = key, state
         return self.pool
 
@@ -362,8 +408,13 @@ def run_sweep(cfg, progress=None):
     workers as it was at their fork. They serve one sweep at a time: a
     sweep started while another holds them, from another thread or from
     ``progress``, fits in process. An exception leaving this call shuts
-    them down. A replicate's seeds do not depend on where it runs, so the
-    tables are the same for any worker count.
+    them down. Under glibc each worker, as it starts, fixes malloc's mmap
+    and trim thresholds (``_worker_mallopt``), so that it keeps the heap
+    it frees for its next draw in place of faulting it back in; this
+    process's allocator, and so the in-process route, is left as it is.
+    A replicate's seeds do not depend on where it runs, and allocator
+    settings do not change arithmetic, so the tables are the same for any
+    worker count.
     """
     Pi = cfg.membership()
     P = cfg.block_matrix()

@@ -98,6 +98,10 @@ class TestOneClassMargin:
         with pytest.raises(ValueError, match="unit-norm"):
             one_class_margin(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_nan_rows(self):
+        with pytest.raises(ValueError, match="unit-norm"):
+            one_class_margin(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
 
 @pytest.fixture(scope="module")
 def margin_draws():
@@ -500,6 +504,30 @@ class TestNonPointedHull:
         assert cs.indices.tolist() == sorted(greedy.tolist())
         assert cs.candidates.tolist() == list(range(A.shape[0]))
         assert not cs.cluster_assignments.any()
+
+    # perfbench sweep_pos draws (seed 201, operation 25; seed 309, operation
+    # 0): experiment 2 at rho = 0.1, replicate 0. Each NNLS residual lies
+    # above 1e-10, but r[K] = sum(u) - 1 rounds to 0, so the margins
+    # -r[:K] / r[K] would be infinite or NaN. The first residual squares
+    # below eps; the second, 1.7e-8, lies just above sqrt(eps), so a
+    # residual cut at sqrt(eps) would not catch it
+    @pytest.mark.parametrize("master_seed", [606645576, 3852596590],
+                             ids=["below_sqrt_eps", "above_sqrt_eps"])
+    def test_residual_float_cannot_resolve_takes_spa(self, master_seed):
+        cfg = harness.experiment_config(2, master_seed=master_seed)
+        A, s_est = harness.draw_replicate(cfg, 0, 0, cfg.block_matrix(), cfg.membership())
+        normalized = row_normalize(top_k_eigs(A, cfg.K).U)
+        usable = np.setdiff1d(np.arange(cfg.n), normalized.degenerate)
+        Y = normalized.matrix[usable]
+        E, f = margin_problem(Y)
+        u, rnorm = _nnls(E, f)
+        assert 1e-10 < rnorm < 1e-7 and (E @ u - f)[-1] == 0.0
+        assert one_class_margin(Y) is None
+        with np.errstate(all="raise"):
+            cs = svm_cone_corners(normalized, cfg.K, seed=s_est)
+        assert np.all(cs.margins[usable] == 0)
+        weighted = Y * normalized.row_norms[usable, None]
+        assert cs.indices.tolist() == sorted(usable[spa_corners(weighted, cfg.K).indices])
 
     def test_scd_no_worse_than_baseline(self, signed_sweep_draws):
         Pi, K, draws = signed_sweep_draws

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -266,6 +267,40 @@ run_sweep(experiment_config(1, n=80, n0=8, replicates=2), progress=progress)
 """
 
 
+# runs three sweeps in a new process and prints the worker pids after each;
+# pickling the first sweep's tasks caches __slotnames__ on the config classes
+SHARED_SCRIPT = """
+import multiprocessing
+from spectralmix.harness import experiment_config, run_sweep
+
+for _ in range(3):
+    run_sweep(experiment_config(2, n=80, n0=8, replicates=2))
+    print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+"""
+
+
+def minor_faults_per_refit(cfg, tasks):
+    """Fit replicate ``tasks`` of ``cfg``, then fit them again; returns the
+    minor page faults per replicate of the second pass."""
+    P, Pi = cfg.block_matrix(), cfg.membership()
+    for task in tasks:
+        harness._fit_replicate(cfg, P, Pi, task)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for task in tasks:
+        harness._fit_replicate(cfg, P, Pi, task)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(tasks)
+
+
+glibc = pytest.mark.skipif(not harness._worker_mallopt(),
+                           reason="the C library is not glibc: workers keep its defaults")
+
+
+def src_env():
+    """This environment, with the package's source directory on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(spectralmix.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+
 class TestWorkers:
     """``run_sweep`` fits replicates in forked workers when two or more CPUs
     are usable, and in process otherwise, with the same tables. The workers
@@ -358,6 +393,37 @@ class TestWorkers:
         assert untimed(run_sweep(tiny_config())) == first
         assert worker_pids() == workers
         assert set(map(int, pids.read_text().split())) <= workers
+
+    @two_cpus
+    def test_a_new_process_keeps_its_first_workers(self):
+        # earlier tests have pickled the config classes in this process
+        lines = subprocess.run([sys.executable, "-c", SHARED_SCRIPT], env=src_env(),
+                               capture_output=True, text=True, check=True,
+                               timeout=120).stdout.splitlines()
+        assert len(lines) == 3 and len(lines[0].split()) == min(len(os.sched_getaffinity(0)), 20)
+        assert lines[0] == lines[1] == lines[2]
+
+    @glibc
+    def test_workers_keep_their_freed_heap(self):
+        # untuned, glibc hands the freed top of the heap back after each
+        # draw: about 1,200 pages per refit at n=400
+        cfg = experiment_config(2, master_seed=5)
+        with harness._WORKERS.lock:
+            pool = harness._WORKERS.pool_for(2)
+            faults = pool.submit(minor_faults_per_refit, cfg, [(0, 0), (0, 1)]).result(120)
+        assert faults < 50
+
+    @glibc
+    @two_cpus
+    def test_rejected_allocator_setting_fails_the_sweep(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        # M_MXFAST (1), the fastbin size limit, above its maximum of 160 bytes
+        too_high = ((1, 1 << 20),)
+        monkeypatch.setattr(harness, "_worker_mallopt", lambda: too_high)
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(tiny_config())
+        assert multiprocessing.active_children() == []
 
     @two_cpus
     def test_patches_reach_the_workers_and_their_undoing_too(self, monkeypatch, tmp_path):
@@ -493,12 +559,10 @@ class TestWorkers:
     @two_cpus
     @pytest.mark.parametrize("how", ["exit", "kill"])
     def test_workers_end_with_their_owner(self, how, tmp_path):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(spectralmix.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
         # files, not pipes: orphaned workers would hold a pipe open
         out, err = tmp_path / "pids", tmp_path / "err"
         with open(out, "w") as stdout, open(err, "w") as stderr:
-            owner = subprocess.run([sys.executable, "-c", OWNER_SCRIPT, how], env=env,
+            owner = subprocess.run([sys.executable, "-c", OWNER_SCRIPT, how], env=src_env(),
                                    stdout=stdout, stderr=stderr, timeout=120)
         pids = [int(p) for p in out.read_text().split()]
         try:
