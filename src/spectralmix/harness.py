@@ -182,13 +182,14 @@ def _support_violation(core_min, core_max, rho, dist):
     return None
 
 
-def _off_diagonal_range(Pi, P):
-    """Least and greatest pi_i' P pi_j over node pairs i != j, from the
-    distinct membership rows: a row pairs with itself only where two nodes
-    hold it."""
+def _drawn_range(Pi, P, keep_self_loops=False):
+    """Least and greatest pi_i' P pi_j over the node pairs a draw samples,
+    from the distinct membership rows: i != j, and i = j too with self
+    loops. Without them a row pairs with itself only where two nodes hold
+    it."""
     rows, counts = np.unique(Pi, axis=0, return_counts=True)
     core = rows @ P @ rows.T
-    pairs = ~np.eye(len(rows), dtype=bool) | np.diag(counts > 1)
+    pairs = ~np.eye(len(rows), dtype=bool) | np.diag(keep_self_loops | (counts > 1))
     return float(core[pairs].min()), float(core[pairs].max())
 
 
@@ -390,7 +391,8 @@ def run_sweep(cfg, progress=None):
     method. A method's ``seconds`` is the time to produce its fit from the
     adjacency: the shared eigensolve's time is charged in full to each
     method, as when each method solved it itself. Grid points whose
-    worst-case expectation range violates the distribution support, or
+    worst-case expectation range violates the distribution support (over
+    node pairs i != j, and over self pairs too with ``keep_self_loops``), or
     where a method fails on every replicate, are skipped with a recorded
     reason instead of clamped; ``progress`` is called for valid points only,
     in grid order.
@@ -418,7 +420,7 @@ def run_sweep(cfg, progress=None):
     """
     Pi = cfg.membership()
     P = cfg.block_matrix()
-    core_min, core_max = _off_diagonal_range(Pi, P)
+    core_min, core_max = _drawn_range(Pi, P, cfg.keep_self_loops)
 
     screen = [_support_violation(core_min, core_max, rho, cfg.distribution)
               for rho in cfg.rho_grid]

@@ -3,17 +3,21 @@
 A parameter set (P, Pi, theta) defines an expectation matrix
 omega = Theta Pi P Pi' Theta whose entries are the means of the edge
 weights. Adjacency matrices are then sampled entrywise from one of four
-edge-weight families (normal, bernoulli, poisson, signed) or any
-user-supplied sampler with the right mean.
+edge-weight families (normal, bernoulli, poisson, signed).
 
 All randomness flows through counter-based Philox streams so that a
 single integer seed reproduces a draw across platforms. Entries are
-drawn in fixed upper-triangle row-major order, in one vectorised call per
-draw, and written straight into both triangles of the adjacency matrix.
+drawn in fixed upper-triangle row-major order, one block of rows at a
+time from the one stream, and written straight into both triangles of
+the adjacency matrix. Since a block's draws continue the stream where the
+last block's stopped, the block size does not change the draw. Omega and
+A are the only n x n arrays a draw makes; every other temporary is a
+strip or block of about ``BLOCK_ENTRIES`` entries.
 """
 
 from __future__ import annotations
 
+import bisect
 import numbers
 from dataclasses import dataclass
 
@@ -21,6 +25,9 @@ import numpy as np
 
 SIMPLEX_TOL = 1e-12
 RANK_TOL = 1e-10
+# entries per row strip or sampling block: its temporaries are a few MB at
+# any n, and an n=400 draw's upper triangle is one block
+BLOCK_ENTRIES = 2**17
 
 
 class InvariantError(ValueError):
@@ -85,12 +92,23 @@ def check_theta(theta):
     return theta
 
 
+def _row_strips(n):
+    """Row ranges ``(a, b)`` covering an n-row square matrix in order, each
+    strip of about ``BLOCK_ENTRIES`` entries and at least one row."""
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def build_omega(P, Pi, theta):
     """Expectation matrix Theta Pi P Pi' Theta of the edge weights.
 
     Symmetric with rank exactly K whenever the parameter invariants hold.
     The node scales multiply ``Pi P Pi'`` in place, and the symmetric part
-    takes one more n x n array.
+    (M + M') / 2 replaces it in place, one strip of rows at a time: each
+    strip's entries right of the diagonal are summed with their mirror
+    images, halved and written to both triangles, so the result is the one
+    n x n array a call makes. The sums are the ones ``M + M'`` would take,
+    so the bits are too.
     """
     P = check_block_matrix(P)
     Pi = check_membership(Pi)
@@ -103,9 +121,13 @@ def build_omega(P, Pi, theta):
     omega = Pi @ P @ Pi.T
     omega *= theta[:, None]
     omega *= theta
-    sym = omega + omega.T
-    sym *= 0.5
-    return sym
+    # a strip reads only rows and columns from a on, which earlier strips left as they were
+    for a, b in _row_strips(n):
+        strip = omega[a:b, a:] + omega[a:, a:b].T
+        strip *= 0.5
+        omega[a:b, a:] = strip
+        omega[a:, a:b] = strip.T
+    return omega
 
 
 @dataclass(frozen=True)
@@ -138,6 +160,17 @@ class EdgeDistribution:
     def support(self):
         return self.SUPPORT[self.kind]
 
+    def _outside(self, means):
+        """Where ``means`` are not finite values in this family's support."""
+        lo, hi = self.support
+        return ~(np.isfinite(means) & (lo <= means) & (means <= hi))
+
+    def _support_error(self, i, j, mean, count):
+        lo, hi = self.support
+        return SupportError(
+            f"{self.kind} mean at ({i},{j}) is {mean:.6g}, not a finite value "
+            f"in [{lo:g}, {hi:g}] ({count} offending entries)")
+
     def validate(self, omega):
         """Check every off-diagonal mean is finite and in this family's support."""
         omega = np.asarray(omega, dtype=float)
@@ -145,14 +178,25 @@ class EdgeDistribution:
         least, most = omega.min(initial=np.inf), omega.max(initial=-np.inf)
         if np.isfinite(least) and np.isfinite(most) and lo <= least and most <= hi:
             return  # every entry, the diagonal too, is in the support
-        off = ~np.eye(omega.shape[0], dtype=bool)
-        bad = off & (~np.isfinite(omega) | (omega < lo) | (omega > hi))
-        if np.any(bad):
-            idx = np.argwhere(bad)
-            i, j = idx[0]
-            raise SupportError(
-                f"{self.kind} mean at ({i},{j}) is {omega[i, j]:.6g}, not a finite value "
-                f"in [{lo:g}, {hi:g}] ({len(idx)} offending entries)")
+        count, first = 0, None
+        for a, b in _row_strips(omega.shape[0]):
+            bad = self._outside(omega[a:b])
+            bad[np.arange(b - a), np.arange(a, b)] = False
+            if first is None and bad.any():
+                r, j = np.unravel_index(np.argmax(bad), bad.shape)
+                first = (a + int(r), int(j))
+            count += int(np.count_nonzero(bad))
+        if count:
+            i, j = first
+            raise self._support_error(i, j, omega[i, j], count)
+
+    def validate_diagonal(self, omega):
+        """Check every diagonal mean, which a draw with self loops samples,
+        is finite and in this family's support."""
+        bad = np.flatnonzero(self._outside(np.diag(omega)))
+        if bad.size:
+            i = int(bad[0])
+            raise self._support_error(i, i, omega[i, i], bad.size)
 
     def sample(self, means, rng):
         if self.kind == "normal":
@@ -175,29 +219,51 @@ def _stream(seed):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _upper_blocks(n):
+    """Row ranges ``(a, b)`` that split the strict upper triangle of an n x n
+    matrix, in row-major order, into blocks of at most ``BLOCK_ENTRIES``
+    entries, or of one row where a row alone holds more."""
+    def before(i):  # upper-triangle entries in the rows above row i
+        return i * (n - 1) - i * (i - 1) // 2
+
+    blocks, a = [], 0
+    while a < n - 1:
+        b = max(a + 1, bisect.bisect_right(range(n), before(a) + BLOCK_ENTRIES, key=before) - 1)
+        blocks.append((a, b))
+        a = b
+    return blocks
+
+
 def sample_adjacency(omega, dist, seed, keep_self_loops=False):
     """Draw a symmetric adjacency matrix with entrywise means ``omega``.
 
     Upper-triangle entries are independent draws from ``dist``; the lower
     triangle mirrors them. The diagonal is zero unless ``keep_self_loops``,
-    in which case it is sampled from the same family. The upper-triangle
-    means are gathered once through an n x n boolean mask and the draws
-    are written to both triangles, so ``A`` is the one n x n float array
-    a call makes.
+    in which case its means are checked too and it is sampled from the same
+    family after the upper triangle. The upper triangle is drawn in
+    row-major order, one block of rows at a time (``_upper_blocks``): each
+    block gathers its means through a mask of its own rows, draws them from
+    the one stream, and writes them to both triangles. So ``A`` is the one
+    n x n array a call makes, and the draw is the one a single call over
+    the whole triangle would give.
     """
     omega = np.asarray(omega, dtype=float)
     n = omega.shape[0]
     if omega.shape != (n, n):
         raise ValueError("omega must be square")
     dist.validate(omega)
+    if keep_self_loops:
+        dist.validate_diagonal(omega)
     rng = _stream(seed)
-    # a boolean mask selects in row-major order, as triu_indices would, at an
-    # eighth of the index arrays' memory; the transposed view mirrors the draws
-    upper = ~np.tri(n, dtype=bool)
-    vals = dist.sample(omega[upper], rng)
     A = np.zeros((n, n))
-    A[upper] = vals
-    A.T[upper] = vals
+    for a, b in _upper_blocks(n):
+        # the block's rows from column a on; the transposed view of A's
+        # columns a:b takes the mirror images in the same order
+        upper = np.arange(a, n) > np.arange(a, b)[:, None]
+        vals = dist.sample(omega[a:b, a:][upper], rng)
+        A[a:b, a:][upper] = vals
+        A[a:, a:b].T[upper] = vals
+        del upper, vals  # so the next block's draws do not share the peak with these
     if keep_self_loops:
         A[np.diag_indices(n)] = dist.sample(np.diag(omega), rng)
     return A

@@ -10,9 +10,10 @@ one process or several, are bitwise equal; older releases promise that
 only when no restart is needed. Only K >= n - 1 takes a full symmetric
 solve. Input is a dense array or a scipy.sparse matrix; the type picks
 the route. The checks take the scale from the extremes, with no |M|
-temporary. A sparse matrix stays sparse through the checks and the
-Lanczos call, so a loaded network costs what its edges cost, and is made
-dense only for the full solve.
+temporary, and a dense matrix's asymmetry a strip of rows at a time, with
+no n x n difference. A sparse matrix stays sparse through the checks and
+the Lanczos call, so a loaded network costs what its edges cost, and is
+made dense only for the full solve.
 
 The reported residual's two Frobenius norms are elementwise reductions,
 not BLAS calls. OpenBLAS splits a dot of more than 10,000 entries across
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import eigsh
 
-from .model import _stream
+from .model import _row_strips, _stream
 
 ZERO_ROW_TOL = 1e-12
 SYMMETRY_TOL = 1e-8
@@ -106,6 +107,15 @@ def _non_finite(M):
     return len(bad), tuple(bad[0])
 
 
+def _asymmetry(M):
+    """The greatest entry of M - M'. Being antisymmetric, M - M' has that as
+    its greatest |entry|, so no |.| temporary is needed; a dense M is taken
+    a strip of rows at a time, so no n x n difference is either."""
+    if issparse(M):
+        return (M - M.T).max()
+    return max((M[a:b] - M[:, a:b].T).max() for a, b in _row_strips(M.shape[0]))
+
+
 def top_k_eigs(M, K):
     """The K largest-magnitude eigenpairs of a symmetric real matrix.
 
@@ -139,8 +149,7 @@ def top_k_eigs(M, K):
                          f"the first ({i},{j}) = {M[i, j]}")
     if scale == 0:
         raise ValueError(f"matrix is all zero ({n}x{n}): its leading eigenvectors are undefined")
-    # M - M.T is antisymmetric, so its max is its max |entry|, with no |.| temporary
-    if (M - M.T).max() > SYMMETRY_TOL * scale:
+    if _asymmetry(M) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     if not 1 <= K <= n:
         raise ValueError(f"K={K} out of range for n={n}")

@@ -106,6 +106,16 @@ class TestRunSweep:
         assert "bernoulli" in sweep.invalid[1.2]
         assert 0.5 in sweep.valid_grid()
 
+    def test_self_loop_means_screened(self):
+        # the pure rows' self pairs reach 1.2**2 = 1.44, drawn only with self
+        # loops; every pair i != j stays within 0.5 * 1.44 = 0.72
+        cfg = ExperimentConfig(n=6, K=2, n0=1, mixed_profiles=[((0.5, 0.5), 4)],
+                               p_offdiag=0.0, distribution=EdgeDistribution("bernoulli"),
+                               rho_grid=[1.2], replicates=2, keep_self_loops=True)
+        sweep = run_sweep(cfg)
+        assert sweep.invalid == {1.2: "bernoulli means would reach 1.44, outside [0, 1]"}
+        assert run_sweep(dataclasses.replace(cfg, keep_self_loops=False)).valid_grid() == [1.2]
+
     def test_method_failing_everywhere_skips_progress(self, monkeypatch):
         def always_fails(A, K, seed=0, pair=None):
             raise estimators.EstimationError("corner block is singular")
@@ -628,21 +638,30 @@ class TestSupportScreen:
             "lone-mixed-row"])
     def test_matches_the_n_by_n_range(self, cfg):
         Pi, P = cfg.membership(), cfg.block_matrix()
-        assert harness._off_diagonal_range(Pi, P) == self.n_by_n_range(Pi, P)
+        assert harness._drawn_range(Pi, P) == self.n_by_n_range(Pi, P)
 
     def test_a_row_pairs_with_itself_only_when_two_nodes_hold_it(self):
         # one node per row: the pure rows' 1.0 is never a pair's value
         cfg = tiny_config(n=3, n0=1, mixed_profiles=[((0.9, 0.1), 1)], p_offdiag=-0.2)
         Pi, P = cfg.membership(), cfg.block_matrix()
-        assert harness._off_diagonal_range(Pi, P) == self.n_by_n_range(Pi, P)
-        assert harness._off_diagonal_range(Pi, P) == pytest.approx((-0.2, 0.88), abs=1e-12)
+        assert harness._drawn_range(Pi, P) == self.n_by_n_range(Pi, P)
+        assert harness._drawn_range(Pi, P) == pytest.approx((-0.2, 0.88), abs=1e-12)
         # with pure rows present a mixed row's value with itself lies within
         # its values with them, so rows without them show its screen: held
         # twice, (0.9, 0.1) pairs with itself at 0.784; held once, it does not
         for twice, expected in ((True, (0.4, 0.784)), (False, (0.4, 0.4))):
             Pi = np.array([[0.9, 0.1]] * (1 + twice) + [[0.5, 0.5]])
-            assert harness._off_diagonal_range(Pi, P) == self.n_by_n_range(Pi, P)
-            assert harness._off_diagonal_range(Pi, P) == pytest.approx(expected, abs=1e-12)
+            assert harness._drawn_range(Pi, P) == self.n_by_n_range(Pi, P)
+            assert harness._drawn_range(Pi, P) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("cfg", [
+        *(experiment_config(e, n=80, n0=8) for e in (1, 2, 3, 4)),
+        tiny_config(n=3, n0=1, mixed_profiles=[((0.9, 0.1), 1)], p_offdiag=-0.2),
+    ], ids=[*(f"experiment{e}" for e in (1, 2, 3, 4)), "one-node-per-row"])
+    def test_with_self_loops_matches_the_range_over_all_pairs(self, cfg):
+        Pi, P = cfg.membership(), cfg.block_matrix()
+        core = Pi @ P @ Pi.T
+        assert harness._drawn_range(Pi, P, True) == (float(core.min()), float(core.max()))
 
 
 class TestExperimentConfigs:

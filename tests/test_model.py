@@ -1,9 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spectralmix import model
+from spectralmix import harness, model
 from spectralmix.model import (
     EdgeDistribution,
     InvariantError,
@@ -188,8 +189,15 @@ class TestBitwiseReference:
                 "poisson": (EdgeDistribution("poisson"), 0.0, 3.0),
                 "signed": (EdgeDistribution("signed"), -1.0, 1.0)}
 
+    def test_sizes_straddle_block_boundaries(self):
+        # the strict upper triangle is one sampling block up to n=512, two
+        # from 513; build_omega takes one row strip up to n=362, two from 363
+        assert [len(model._upper_blocks(n)) for n in (511, 512, 513)] == [1, 1, 2]
+        assert [len(model._row_strips(n)) for n in (361, 362, 363)] == [1, 1, 2]
+        assert len(model._upper_blocks(1222)) > 2 and len(model._row_strips(1222)) > 2
+
     @pytest.mark.parametrize("keep_self_loops", [False, True], ids=["no-loops", "loops"])
-    @pytest.mark.parametrize("n", [2, 3, 57, 400])
+    @pytest.mark.parametrize("n", [2, 3, 57, 400, 511, 512, 513, 1222])
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_sample_adjacency(self, kind, n, keep_self_loops):
         dist, lo, hi = self.FAMILIES[kind]
@@ -199,7 +207,8 @@ class TestBitwiseReference:
         # means at the ends of the support, placed asymmetrically
         omega[rng.random((n, n)) < 0.1] = hi
         omega[rng.random((n, n)) < 0.1] = lo
-        for seed in (0, 11, 2**40 + 3):
+        # the sizes past 400 test block boundaries, which one seed shows
+        for seed in (0, 11, 2**40 + 3) if n <= 400 else (11,):
             got = sample_adjacency(omega, dist, seed, keep_self_loops=keep_self_loops)
             want = reference_sample_adjacency(omega, dist, seed, keep_self_loops)
             assert got.tobytes() == want.tobytes()
@@ -208,10 +217,52 @@ class TestBitwiseReference:
         rng = np.random.default_rng(2)
         from conftest import random_ground_truth
 
-        for n, K in ((2, 2), (57, 3), (400, 4)):
+        for n, K in ((2, 2), (57, 3), (361, 3), (362, 3), (363, 3), (400, 4), (1222, 2)):
             P, Pi, theta = random_ground_truth(rng, n, K)
             assert build_omega(P, Pi, theta).tobytes() == \
                 reference_build_omega(P, Pi, theta).tobytes()
+
+
+class TestDrawTemporaries:
+    """Past its result, and its input for the sampler, a draw's peak traced
+    memory is a few strips and blocks of about ``BLOCK_ENTRIES`` entries,
+    the same at any n."""
+
+    LIMIT = 4 * 2**20  # bytes: an n=1000 omega alone takes 8 MB
+
+    @staticmethod
+    def traced_peak(call):
+        """``call()``, and the peak of traced memory above the start while it ran."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def parameters(n):
+        cfg = harness.experiment_config(2, n=n, n0=n // 10)
+        return cfg.block_matrix(), cfg.membership(), make_theta(n, 1.0, seed=n)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_build_omega(self, n):
+        P, Pi, theta = self.parameters(n)
+        omega, peak = self.traced_peak(lambda: build_omega(P, Pi, theta))
+        assert peak - omega.nbytes < self.LIMIT
+
+    @pytest.mark.parametrize("keep_self_loops", [False, True], ids=["no-loops", "loops"])
+    @pytest.mark.parametrize("kind", EdgeDistribution.KINDS)
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_sample_adjacency(self, n, kind, keep_self_loops):
+        # experiment 2's means lie in [0, 1], inside every family's support
+        omega = build_omega(*self.parameters(n))
+        dist = EdgeDistribution(kind, variance=1.0 if kind == "normal" else None)
+        A, peak = self.traced_peak(
+            lambda: sample_adjacency(omega, dist, seed=n, keep_self_loops=keep_self_loops))
+        assert peak - A.nbytes < self.LIMIT
 
 
 class TestSyntheticLayouts:
@@ -289,6 +340,36 @@ class TestEdgeDistribution:
         omega = np.array([[0.0, np.nan], [np.nan, 0.0]])
         with pytest.raises(SupportError, match=rf"{kind} mean at \(0,1\) is nan"):
             sample_adjacency(omega, dist, seed=0)
+
+    # one bad diagonal mean per family: above, below, NaN, infinite
+    BAD_DIAGONAL = {"bernoulli": 1.5, "poisson": -0.5, "normal": np.nan, "signed": np.inf}
+
+    @pytest.mark.parametrize("kind", EdgeDistribution.KINDS)
+    def test_bad_self_loop_mean_rejected_when_drawn(self, kind):
+        dist = EdgeDistribution(kind, variance=1.0 if kind == "normal" else None)
+        omega = np.full((3, 3), 0.5)
+        omega[1, 1] = self.BAD_DIAGONAL[kind]
+        lo, hi = dist.support
+        message = (f"{kind} mean at (1,1) is {omega[1, 1]:.6g}, not a finite value "
+                   f"in [{lo:g}, {hi:g}] (1 offending entries)")
+        with pytest.raises(SupportError, match=f"^{re.escape(message)}$"):
+            sample_adjacency(omega, dist, seed=0, keep_self_loops=True)
+        # without self loops the diagonal is not drawn, so not checked
+        A = sample_adjacency(omega, dist, seed=0)
+        assert np.all(np.diag(A) == 0) and np.all(np.isfinite(A))
+
+    def test_off_diagonal_offenders_past_the_first_strip(self):
+        # the first offender in row-major order is named and all are counted,
+        # with the bad diagonal means, which are not drawn, left out
+        n = 1000
+        assert model._row_strips(n)[0][1] < 700
+        omega = np.full((n, n), 0.5)
+        omega[700, 3] = omega[3, 700] = 1.25
+        omega[900, 950] = omega[950, 900] = -0.5
+        np.fill_diagonal(omega, 2.0)
+        message = "bernoulli mean at (3,700) is 1.25, not a finite value in [0, 1] (4 offending entries)"
+        with pytest.raises(SupportError, match=f"^{re.escape(message)}$"):
+            sample_adjacency(omega, EdgeDistribution("bernoulli"), seed=0)
 
 
 

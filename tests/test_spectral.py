@@ -131,6 +131,16 @@ class TestTopKEigs:
         with pytest.raises(ValueError, match="symmetric"):
             top_k_eigs(M, 1)
 
+    def test_asymmetric_entry_past_the_first_strip_rejected(self):
+        # the dense check takes M - M' a strip of rows at a time
+        n = 1000
+        assert model._row_strips(n)[0][1] < 900
+        M = model.build_omega(*random_ground_truth(np.random.default_rng(3), n, 3))
+        top_k_eigs(M, 3)
+        M[900, 5] += 1e-6 * np.abs(M).max()
+        with pytest.raises(ValueError, match="^matrix is not symmetric within tolerance$"):
+            top_k_eigs(M, 3)
+
     def test_rank_deficiency_warns(self):
         M = np.diag([5.0, 0.0, 0.0])
         with pytest.warns(RuntimeWarning, match="rank"):
